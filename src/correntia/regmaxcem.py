@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsyrk
 
 from .correntropy import SigmaPolicy, g_sigma, objective, sigma_heuristic
 from .dataset import Dataset, label_indicator
@@ -182,10 +183,12 @@ def m_step(aux: AuxMatrix, represented: np.ndarray, indicator: np.ndarray, alpha
 
     over represented columns ``x_i`` and indicator targets ``y_i``.
     Centering uses the ``u^2``-weighted means of samples and targets, which
-    is what makes the bias gradient vanish exactly.  With ``alpha > 0`` the
-    system is symmetric positive definite and solved by Cholesky; with
+    is what makes the bias gradient vanish exactly.  The ``D' x D'`` system
+    is built, lower triangle only, by one symmetric rank-k update of the
+    centered columns scaled by ``u``.  With ``alpha > 0`` it is symmetric
+    positive definite in exact arithmetic and solved by Cholesky; with
     ``alpha = 0`` a least-squares solve is used instead (no definiteness
-    guarantee).
+    guarantee).  The inputs are never modified.
 
     Parameters
     ----------
@@ -206,10 +209,16 @@ def m_step(aux: AuxMatrix, represented: np.ndarray, indicator: np.ndarray, alpha
     ------
     DegenerateClassError
         If a class's auxiliary weights sum below 1e-12 (every sample
-        down-weighted to numerical zero).
+        down-weighted to numerical zero); the first such class is named.
+    FloatingPointError
+        If a system with ``alpha > 0`` is numerically not positive definite
+        (near-singular data with a tiny ``alpha``); the class is named.
     """
     aux = np.asarray(aux, dtype=np.float64)
-    represented = np.asarray(represented, dtype=np.float64)
+    # One memory order for every caller (``train`` already passes Fortran
+    # order): BLAS rounds differently per layout, and dsyrk then reads the
+    # centered columns in place.
+    represented = np.asfortranarray(represented, dtype=np.float64)
     indicator = np.asarray(indicator, dtype=np.float64)
     num_classes, n = indicator.shape
     if aux.shape != indicator.shape:
@@ -217,27 +226,41 @@ def m_step(aux: AuxMatrix, represented: np.ndarray, indicator: np.ndarray, alpha
     if represented.shape[1] != n:
         raise ValueError(f"represented has {represented.shape[1]} columns, expected {n}")
     dim = represented.shape[0]
-    eye = np.eye(dim)
+
+    u_sq = -aux / n
+    u = np.sqrt(u_sq)
+    degenerate = np.flatnonzero(u.sum(axis=1) < DEGENERATE_WEIGHT_SUM)
+    if degenerate.size:
+        raise DegenerateClassError(int(degenerate[0]) + 1)
+    totals = u_sq.sum(axis=1)
+    x_means = (represented @ u_sq.T) / totals  # D' x L
+    # Row-wise dot products as a batched matmul round like a per-row dot;
+    # the near-tied biases of a collapsed model depend on those last bits.
+    y_means = (indicator[:, None, :] @ u_sq[:, :, None]).ravel() / totals
 
     weights = np.empty((num_classes, dim))
     biases = np.empty(num_classes)
+    diagonal = np.diag_indices(dim)
     for l in range(num_classes):
-        u_sq = -aux[l] / n
-        u = np.sqrt(u_sq)
-        if u.sum() < DEGENERATE_WEIGHT_SUM:
-            raise DegenerateClassError(l + 1)
-        total = u_sq.sum()
-        x_mean = represented @ u_sq / total
-        y_mean = indicator[l] @ u_sq / total
-        centered = represented - x_mean[:, None]
-        system = (centered * u_sq) @ centered.T
-        rhs = (centered * u_sq) @ (indicator[l] - y_mean)
+        scaled = represented - x_means[:, l, None]
+        scaled *= u[l]
+        rhs = scaled @ (u[l] * (indicator[l] - y_means[l]))
+        system = dsyrk(1.0, scaled, lower=1)  # scaled @ scaled.T, lower triangle only
         if alpha > 0:
-            w = cho_solve(cho_factor(system + alpha * eye, lower=True), rhs)
+            system[diagonal] += alpha
+            try:
+                factor = cho_factor(system, lower=True, overwrite_a=True)
+            except np.linalg.LinAlgError as exc:
+                raise FloatingPointError(
+                    f"class {l + 1}: the weighted ridge system is not positive definite; "
+                    f"alpha={alpha!r} is too small for near-singular data, use a larger alpha"
+                ) from exc
+            w = cho_solve(factor, rhs)
         else:
+            system = np.tril(system) + np.tril(system, -1).T
             w, *_ = np.linalg.lstsq(system, rhs, rcond=None)
         weights[l] = w
-        biases[l] = y_mean - w @ x_mean
+        biases[l] = y_means[l] - w @ x_means[:, l]
     return weights, biases
 
 

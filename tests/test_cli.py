@@ -141,6 +141,21 @@ class TestErrors:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    def test_near_singular_train_is_one_line_error(self, tmp_path, capsys):
+        data = tmp_path / "collinear.csv"
+        x = [0.37 * i - 7.1 for i in range(40)]
+        data.write_text("a,b,c,label\n" + "".join(
+            f"{v!r},{2 * v!r},{v!r},{1 + i % 2}\n" for i, v in enumerate(x)
+        ))
+        code = run_cli(["train", "--data", data, "--label-col", "label", "--method", "regmaxcem",
+                        "--model-out", tmp_path / "m.json", "--alpha", "1e-20"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "leading minor" not in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_bad_config_is_one_line_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1, "methods": [], "protocol": {"kind": "kfold"}}))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from correntia import (
     Dataset,
@@ -22,6 +23,7 @@ from correntia import (
     predict_label,
     predict_labels,
     predict_scores,
+    represent_matrix,
     save_model,
     score_matrix,
     train,
@@ -142,6 +144,35 @@ def eq12_objective(aux, represented, indicator, alpha, weights, biases):
     return data + alpha / num_classes * float(np.sum(weights * weights))
 
 
+def gemm_m_step(aux, represented, indicator, alpha):
+    """The weighted ridge step as first written: per class, a general GEMM on
+    the centered, u^2-weighted columns, then Cholesky (or lstsq at alpha = 0)."""
+    num_classes, n = indicator.shape
+    dim = represented.shape[0]
+    weights = np.empty((num_classes, dim))
+    biases = np.empty(num_classes)
+    for l in range(num_classes):
+        u_sq = -aux[l] / n
+        total = u_sq.sum()
+        x_mean = represented @ u_sq / total
+        y_mean = indicator[l] @ u_sq / total
+        centered = represented - x_mean[:, None]
+        system = (centered * u_sq) @ centered.T
+        rhs = (centered * u_sq) @ (indicator[l] - y_mean)
+        if alpha > 0:
+            w = cho_solve(cho_factor(system + alpha * np.eye(dim), lower=True), rhs)
+        else:
+            w, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+        weights[l] = w
+        biases[l] = y_mean - w @ x_mean
+    return weights, biases
+
+
+def random_aux_and_indicator(rng, num_classes, n):
+    indicator = label_indicator(rng.integers(1, num_classes + 1, n), num_classes)
+    return -rng.uniform(0.05, 1.0, (num_classes, n)), indicator
+
+
 class TestMStep:
     def test_two_sample_hand_case(self):
         represented = np.array([[1.0, -1.0]])
@@ -220,6 +251,59 @@ class TestMStep:
                     - eq12_objective(aux, represented, indicator, alpha, weights, down)
                 ) / (2 * h)
                 assert abs(grad) <= 1e-6 * (1 + abs(base))
+
+    @pytest.mark.parametrize(
+        "shape, alpha",
+        [
+            pytest.param((50, 2000, 10), 0.01, id="tall-linear"),
+            pytest.param("rbf-gram", 0.01, id="square-kernel"),
+            pytest.param((40, 25, 3), 0.1, id="wide"),
+            pytest.param((6, 300, 4), 0.0, id="alpha-zero"),
+        ],
+    )
+    def test_matches_gemm_formula(self, shape, alpha):
+        rng = np.random.default_rng(13)
+        if shape == "rbf-gram":
+            points = rng.standard_normal((200, 2))
+            rep = kernel_representation(points, KernelSpec("rbf", 1.0))
+            represented, num_classes = represent_matrix(points, rep).T, 3
+        else:
+            dim, n, num_classes = shape
+            represented = rng.standard_normal((dim, n))
+        aux, indicator = random_aux_and_indicator(rng, num_classes, represented.shape[1])
+        weights, biases = m_step(aux, represented, indicator, alpha)
+        w_ref, b_ref = gemm_m_step(aux, represented, indicator, alpha)
+        np.testing.assert_allclose(weights, w_ref, rtol=1e-10)
+        np.testing.assert_allclose(biases, b_ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    def test_inputs_untouched_read_only_and_order_free(self, alpha):
+        rng = np.random.default_rng(14)
+        represented = rng.standard_normal((5, 40))
+        aux, indicator = random_aux_and_indicator(rng, 3, 40)
+        copies = [a.copy() for a in (aux, represented, indicator)]
+        for a in (aux, represented, indicator):
+            a.setflags(write=False)
+        weights, biases = m_step(aux, represented, indicator, alpha)
+        for a, before in zip((aux, represented, indicator), copies):
+            assert a.tobytes() == before.tobytes()
+        for layout in (np.ascontiguousarray(copies[1]), np.asfortranarray(copies[1])):
+            w, b = m_step(aux, layout, indicator, alpha)
+            np.testing.assert_array_equal(w, weights)
+            np.testing.assert_array_equal(b, biases)
+
+    def test_first_degenerate_class_is_named(self):
+        aux = -np.ones((3, 4))
+        aux[1:] = -1e-40
+        with pytest.raises(DegenerateClassError, match="class 2") as info:
+            m_step(aux, np.random.default_rng(6).standard_normal((2, 4)), label_indicator([1, 2, 3, 1], 3), 0.1)
+        assert info.value.class_index == 2
+
+    def test_near_singular_system_raises_floating_point_error(self):
+        x = np.random.default_rng(15).standard_normal(40)
+        ds = Dataset(np.stack([x, 2 * x, x], axis=1), np.array([1, 2] * 20), 2)
+        with pytest.raises(FloatingPointError, match="class 1.*larger alpha"):
+            train(ds, TrainConfig(alpha=1e-20))
 
 
 def two_blob_dataset(seed=0, n_per_class=30, gap=4.0):
