@@ -22,6 +22,7 @@ from .dataset import (
     kfold,
     label_indicator,
     load_csv,
+    load_features,
     split,
 )
 from .evaluation import (
@@ -53,11 +54,9 @@ from .harness import (
 from .kernels import (
     KernelSpec,
     Representation,
-    kernel_eval,
     kernel_representation,
     linear_representation,
     median_bandwidth,
-    represent,
     represent_matrix,
 )
 from .regmaxcem import (
@@ -69,13 +68,11 @@ from .regmaxcem import (
     evaluate_objective,
     load_model,
     m_step,
-    predict_label,
     predict_labels,
-    predict_scores,
     save_model,
     score_matrix,
     train,
 )
 from .seeding import child_seed, make_rng
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

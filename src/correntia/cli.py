@@ -8,10 +8,11 @@ use ``.`` decimals and LF line endings.
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .dataset import load_csv
+from .dataset import load_csv, load_features
 from .evaluation import accuracy, auc, multiclass_binary_scores, pr_curve, roc_curve
 from .harness import (
     MethodSpec,
@@ -23,8 +24,9 @@ from .harness import (
     run_experiment,
     select_alpha_by_cv,
     train_method,
+    write_curve,
 )
-from .regmaxcem import TrainConfig, load_model, predict_labels, save_model, score_matrix, train
+from .regmaxcem import load_model, predict_labels, save_model, score_matrix, train
 
 __all__ = ["main"]
 
@@ -105,23 +107,13 @@ def _cmd_train(args) -> int:
         sigma_floor=args.sigma_floor,
     )
     if args.alpha == "grid":
-        from dataclasses import replace
-
         selected = select_alpha_by_cv(
             method, ds, args.representation, args.kernel, args.bandwidth
         )
         method = replace(method, alpha=selected)
         print(f"alpha selected by inner cross-validation: {selected!r}")
     if args.method == "regmaxcem" and args.trace_out:
-        cfg = TrainConfig(
-            alpha=method.alpha,
-            max_iters=args.iters,
-            tol=args.tol,
-            sigma_policy=method.sigma_policy(),
-            representation=rep,
-            trace=True,
-        )
-        model, trace = train(ds, cfg)
+        model, trace = train(ds, replace(method.train_config(rep), trace=True))
         with open(args.trace_out, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["iteration", "objective", "sigma", "max_param_change"])
@@ -136,29 +128,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _read_features(path, label_col):
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"empty file: {path}")
-        keep = [i for i, name in enumerate(header) if name != label_col]
-        if not keep:
-            raise ValueError("no feature columns")
-        rows = []
-        for row_no, row in enumerate(reader, start=1):
-            try:
-                rows.append([float(row[i]) for i in keep])
-            except (ValueError, IndexError):
-                raise ValueError(f"row {row_no}: cannot parse feature values") from None
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-    return np.array(rows, dtype=np.float64)
-
-
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    features = _read_features(args.data, args.label_col)
+    features = load_features(args.data, args.label_col)
     scores = score_matrix(model, features)
     labels = np.argmax(scores, axis=1)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -219,12 +191,8 @@ def _cmd_eval(args) -> int:
 
             out = Path(args.out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            for name, points in (("roc.csv", roc), ("pr.csv", pr)):
-                with open(out / name, "w", encoding="utf-8", newline="") as handle:
-                    writer = csv.writer(handle, lineterminator="\n")
-                    writer.writerow(["threshold", "x", "y"])
-                    for point in points:
-                        writer.writerow([repr(point.threshold), repr(point.x), repr(point.y)])
+            write_curve(out / "roc.csv", roc)
+            write_curve(out / "pr.csv", pr)
             print(f"curves written to {out}")
     except ValueError as exc:
         print(f"curves skipped: {exc}")
@@ -234,8 +202,6 @@ def _cmd_eval(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
     reports = run_experiment(cfg)
     paths = emit_reports(reports, args.out)

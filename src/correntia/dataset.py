@@ -20,6 +20,7 @@ __all__ = [
     "Dataset",
     "SplitSpec",
     "load_csv",
+    "load_features",
     "label_indicator",
     "split",
     "kfold",
@@ -106,6 +107,63 @@ class SplitSpec:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
+def _read_csv(path, label_column, require_label: bool):
+    """Parse a headed CSV into ``(features, raw_labels)``.
+
+    Every column except ``label_column`` is a decimal float feature.
+    ``raw_labels`` holds the stripped label cells, or is ``None`` when the
+    file has no such column (an error if ``require_label``).  Ragged rows,
+    unparseable and non-finite cells raise ``ValueError`` naming the row
+    (1-based, header excluded) and, for a cell, its column.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"empty file: {path}") from None
+        if label_column in header:
+            label_idx = header.index(label_column)
+        elif require_label:
+            raise ValueError(f"label column {label_column!r} not found in header {header}")
+        else:
+            label_idx = None
+        keep = [i for i in range(len(header)) if i != label_idx]
+        if not keep:
+            raise ValueError("no feature columns besides the label column")
+
+        rows = []
+        raw_labels = []
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise ValueError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
+            try:
+                rows.append([float(row[i]) for i in keep])
+            except ValueError:
+                for i in keep:
+                    try:
+                        float(row[i])
+                    except ValueError:
+                        raise ValueError(
+                            f"row {row_no}, column {header[i]!r}: "
+                            f"cannot parse {row[i]!r} as a number"
+                        ) from None
+            if label_idx is not None:
+                raw_labels.append(row[label_idx].strip())
+
+    if not rows:
+        raise ValueError(f"no data rows in {path}")
+    features = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(features)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"row {row + 1}, column {header[keep[col]]!r}: "
+            f"non-finite value {float(features[row, col])}"
+        )
+    return features, None if label_idx is None else raw_labels
+
+
 def load_csv(path, label_column: str) -> Dataset:
     """Load a dataset from a headed UTF-8 CSV file.
 
@@ -114,48 +172,24 @@ def load_csv(path, label_column: str) -> Dataset:
     first-appearance order, except that labels which are literally the
     integers ``1..L`` keep their own values (identity mapping).
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"empty file: {path}") from None
-        if label_column not in header:
-            raise ValueError(f"label column {label_column!r} not found in header {header}")
-        label_idx = header.index(label_column)
-        feature_cols = [(i, name) for i, name in enumerate(header) if i != label_idx]
-        if not feature_cols:
-            raise ValueError("no feature columns besides the label column")
-
-        rows = []
-        raw_labels = []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValueError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
-            values = []
-            for i, name in feature_cols:
-                cell = row[i].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"row {row_no}, column {name!r}: cannot parse {row[i]!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(f"row {row_no}, column {name!r}: non-finite value {row[i]!r}")
-                values.append(value)
-            rows.append(values)
-            raw_labels.append(row[label_idx].strip())
-
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-
+    features, raw_labels = _read_csv(path, label_column, require_label=True)
     names = list(dict.fromkeys(raw_labels))  # first-appearance order
     if set(names) == {str(k) for k in range(1, len(names) + 1)}:
         names = [str(k) for k in range(1, len(names) + 1)]
     mapping = {name: k for k, name in enumerate(names, start=1)}
     labels = np.array([mapping[raw] for raw in raw_labels], dtype=np.int64)
-    return Dataset(np.array(rows, dtype=np.float64), labels, len(names), tuple(names))
+    return Dataset(features, labels, len(names), tuple(names))
+
+
+def load_features(path, label_column: str | None = None) -> np.ndarray:
+    """Load the ``N x D`` feature matrix of a headed UTF-8 CSV file.
+
+    Parsed as by :func:`load_csv`, except that ``label_column`` is optional:
+    it is skipped when the header has it, and otherwise every column is a
+    feature.
+    """
+    features, _ = _read_csv(path, label_column, require_label=False)
+    return features
 
 
 def label_indicator(labels, num_classes: int) -> IndicatorMatrix:

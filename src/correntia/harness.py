@@ -13,7 +13,7 @@ config regardless of how cells would be scheduled.
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "generate_synthetic",
     "run_experiment",
     "emit_reports",
+    "write_curve",
     "select_alpha_by_cv",
     "load_config",
     "config_from_dict",
@@ -103,6 +104,16 @@ class MethodSpec:
         if self.sigma == "adaptive":
             return SigmaPolicy.adaptive(self.sigma_floor)
         return SigmaPolicy.fixed(float(self.sigma), self.sigma_floor)
+
+    def train_config(self, rep: Representation) -> TrainConfig:
+        """The regmaxcem trainer settings of this entry on representation ``rep``."""
+        return TrainConfig(
+            alpha=self.alpha,
+            max_iters=self.iters,
+            tol=self.tol,
+            sigma_policy=self.sigma_policy(),
+            representation=rep,
+        )
 
 
 @dataclass(frozen=True)
@@ -212,14 +223,7 @@ def build_representation(
 def train_method(method: MethodSpec, ds: Dataset, rep: Representation):
     """Train one method on one (already noisy) training set."""
     if method.name == "regmaxcem":
-        cfg = TrainConfig(
-            alpha=method.alpha,
-            max_iters=method.iters,
-            tol=method.tol,
-            sigma_policy=method.sigma_policy(),
-            representation=rep,
-        )
-        model, _ = train(ds, cfg)
+        model, _ = train(ds, method.train_config(rep))
         return model
     if method.name == "square":
         return train_square(ds, rep, method.alpha)
@@ -251,8 +255,6 @@ def select_alpha_by_cv(
     values in [1e-4, 1]) over a k-fold split of ``ds`` and returns the alpha
     with the best mean accuracy; ties go to the smallest alpha.
     """
-    from dataclasses import replace
-
     pairs = kfold(ds, min(folds, ds.n_samples), child_seed(seed, 3))
     best_alpha, best_score = None, -np.inf
     for alpha in grid:
@@ -365,19 +367,7 @@ def _attach_ttests(rate_reports: list[EvalReport]) -> list[EvalReport]:
                 comparisons.append(TTestResult(other.method, t, p))
             except DegenerateDifferencesError:
                 comparisons.append(TTestResult(other.method, None, None, degenerate=True))
-        out.append(
-            EvalReport(
-                method=report.method,
-                noise_rate=report.noise_rate,
-                accuracy=report.accuracy,
-                per_split_accuracies=report.per_split_accuracies,
-                roc=report.roc,
-                pr=report.pr,
-                auc=report.auc,
-                ttests=tuple(comparisons),
-                errors=report.errors,
-            )
-        )
+        out.append(replace(report, ttests=tuple(comparisons)))
     return out
 
 
@@ -385,7 +375,8 @@ def _curve_filename(method: str, noise_rate: float, which: str) -> str:
     return f"{method}_noise{noise_rate:g}_{which}.csv"
 
 
-def _write_curve(path, points) -> None:
+def write_curve(path, points) -> None:
+    """Write ROC/PR points as a ``threshold,x,y`` CSV (shortest-repr floats, LF endings)."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["threshold", "x", "y"])
@@ -436,8 +427,8 @@ def emit_reports(reports: list[EvalReport], out_dir) -> list[str]:
             continue
         roc_path = out / _curve_filename(report.method, report.noise_rate, "roc")
         pr_path = out / _curve_filename(report.method, report.noise_rate, "pr")
-        _write_curve(roc_path, report.roc)
-        _write_curve(pr_path, report.pr)
+        write_curve(roc_path, report.roc)
+        write_curve(pr_path, report.pr)
         paths.extend([roc_path, pr_path])
     return [str(p) for p in paths]
 
@@ -450,9 +441,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     data_path = None
     label_column = None
     if "synthetic" in raw:
-        synth = dict(raw["synthetic"])
-        synth["means"] = tuple(tuple(row) for row in synth["means"])
-        synthetic = SyntheticSpec(**synth)
+        synthetic = SyntheticSpec(**raw["synthetic"])
     if "data" in raw:
         data_path = raw["data"]["path"]
         label_column = raw["data"]["label_column"]
@@ -475,24 +464,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     raw = {
         "seed": cfg.seed,
-        "methods": [
-            {
-                "name": m.name,
-                "alpha": m.alpha,
-                "iters": m.iters,
-                "tol": m.tol,
-                "step_size": m.step_size,
-                "sigma": m.sigma,
-                "sigma_floor": m.sigma_floor,
-            }
-            for m in cfg.methods
-        ],
-        "protocol": {
-            "kind": cfg.protocol.kind,
-            "times": cfg.protocol.times,
-            "fraction": cfg.protocol.fraction,
-            "k": cfg.protocol.k,
-        },
+        "methods": [asdict(m) for m in cfg.methods],
+        "protocol": asdict(cfg.protocol),
         "noise_rates": list(cfg.noise_rates),
         "representation": {
             "mode": cfg.representation,
@@ -502,12 +475,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "positive_class": cfg.positive_class,
     }
     if cfg.synthetic is not None:
-        raw["synthetic"] = {
-            "means": [list(row) for row in cfg.synthetic.means],
-            "std": cfg.synthetic.std,
-            "samples_per_class": cfg.synthetic.samples_per_class,
-            "seed": cfg.synthetic.seed,
-        }
+        raw["synthetic"] = asdict(cfg.synthetic)
     else:
         raw["data"] = {"path": cfg.data_path, "label_column": cfg.label_column}
     return raw

@@ -15,9 +15,7 @@ from scipy.spatial.distance import cdist, pdist
 __all__ = [
     "KernelSpec",
     "Representation",
-    "kernel_eval",
     "gram",
-    "represent",
     "represent_matrix",
     "median_bandwidth",
     "linear_representation",
@@ -66,10 +64,6 @@ class Representation:
             anchors.setflags(write=False)
             object.__setattr__(self, "anchors", anchors)
 
-    def output_dim(self, input_dim: int) -> int:
-        """Length of represented vectors (D in linear mode, N anchors in kernel mode)."""
-        return input_dim if self.mode == "linear" else self.anchors.shape[0]
-
 
 def linear_representation() -> Representation:
     return Representation(mode="linear")
@@ -77,18 +71,6 @@ def linear_representation() -> Representation:
 
 def kernel_representation(anchors: np.ndarray, kernel: KernelSpec) -> Representation:
     return Representation(mode="kernel", anchors=anchors, kernel=kernel)
-
-
-def kernel_eval(spec: KernelSpec, x, z) -> float:
-    """Evaluate ``K(x, z)`` for a single pair of equal-length vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if x.shape != z.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {z.shape}")
-    if spec.kind == "linear":
-        return float(x @ z)
-    sq = float(np.sum((x - z) ** 2))
-    return float(np.exp(-sq / (2.0 * spec.bandwidth**2)))
 
 
 def gram(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -103,22 +85,12 @@ def gram(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.exp(-sq / (2.0 * spec.bandwidth**2))
 
 
-def represent(x, rep: Representation) -> np.ndarray:
-    """Represent one sample: identity in linear mode, kernel vector in kernel mode."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D sample, got shape {x.shape}")
-    if rep.mode == "linear":
-        return x
-    if x.shape[0] != rep.anchors.shape[1]:
-        raise ValueError(
-            f"sample dimension {x.shape[0]} does not match anchor dimension {rep.anchors.shape[1]}"
-        )
-    return gram(rep.kernel, rep.anchors, x[None, :])[:, 0]
-
-
 def represent_matrix(X: np.ndarray, rep: Representation) -> np.ndarray:
-    """Represent many samples at once; returns an ``n x D'`` matrix."""
+    """Represent samples (one row each, or a single 1-D sample) as an ``n x D'`` matrix.
+
+    Kernel mode rejects non-finite samples with a ``ValueError`` naming the
+    first such row: an rbf kernel would map them to an all-zero row.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if rep.mode == "linear":
         return X
@@ -126,6 +98,10 @@ def represent_matrix(X: np.ndarray, rep: Representation) -> np.ndarray:
         raise ValueError(
             f"sample dimension {X.shape[1]} does not match anchor dimension {rep.anchors.shape[1]}"
         )
+    finite = np.isfinite(X)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise ValueError(f"row {row}: non-finite sample value")
     return gram(rep.kernel, X, rep.anchors)
 
 

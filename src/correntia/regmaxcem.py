@@ -35,13 +35,7 @@ from scipy.linalg.blas import dsyrk
 
 from .correntropy import SigmaPolicy, g_sigma, objective, sigma_heuristic
 from .dataset import Dataset, label_indicator
-from .kernels import (
-    KernelSpec,
-    Representation,
-    linear_representation,
-    represent,
-    represent_matrix,
-)
+from .kernels import KernelSpec, Representation, linear_representation, represent_matrix
 
 __all__ = [
     "DegenerateClassError",
@@ -52,8 +46,6 @@ __all__ = [
     "e_step",
     "m_step",
     "train",
-    "predict_scores",
-    "predict_label",
     "score_matrix",
     "predict_labels",
     "evaluate_objective",
@@ -322,35 +314,29 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[Model, TrainTrace]:
     return model, TrainTrace(tuple(records))
 
 
-def predict_scores(model: Model, x) -> np.ndarray:
-    """Per-class scores for one sample: ``w_l @ represent(x) + b_l``."""
-    z = represent(x, model.representation)
-    if z.shape[0] != model.weights.shape[1]:
-        raise ValueError(
-            f"represented dimension {z.shape[0]} does not match model dimension "
-            f"{model.weights.shape[1]}"
-        )
-    return model.weights @ z + model.biases
-
-
-def predict_label(model: Model, x) -> int:
-    """Class index with the highest score; ties go to the smallest index."""
-    return int(np.argmax(predict_scores(model, x))) + 1
-
-
 def score_matrix(model: Model, X) -> np.ndarray:
-    """Batch scores, shape ``(n, L)``."""
+    """Class scores ``w_l @ z + b_l`` for each represented row ``z`` of ``X``, shape ``(n, L)``.
+
+    A single 1-D sample is scored as a batch of one.  Raises ``ValueError``
+    naming the first row whose scores are not finite, so a non-finite
+    feature never yields a silent prediction.
+    """
     Z = represent_matrix(X, model.representation)
     if Z.shape[1] != model.weights.shape[1]:
         raise ValueError(
             f"represented dimension {Z.shape[1]} does not match model dimension "
             f"{model.weights.shape[1]}"
         )
-    return Z @ model.weights.T + model.biases
+    scores = Z @ model.weights.T + model.biases
+    finite = np.isfinite(scores)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise ValueError(f"row {row}: non-finite scores from non-finite or overflowing features")
+    return scores
 
 
 def predict_labels(model: Model, X) -> np.ndarray:
-    """Batch argmax predictions, class indices in ``1..L``."""
+    """Argmax class index in ``1..L`` for each row of ``X``; ties go to the smallest index."""
     return np.argmax(score_matrix(model, X), axis=1) + 1
 
 

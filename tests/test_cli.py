@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from correntia import load_csv, load_model, multiclass_binary_scores, pr_curve, roc_curve
 from correntia.cli import main
+from correntia.harness import write_curve
 
 
 def run_cli(args):
@@ -119,6 +121,20 @@ class TestTrainPredictEval:
         auc_line = [l for l in out.splitlines() if l.startswith("auc=")][0]
         assert float(auc_line.split("=")[1]) == 1.0
 
+    def test_eval_writes_curves(self, tmp_path, blob_csv):
+        model_path = tmp_path / "m.json"
+        assert run_cli(["train", "--data", blob_csv, "--label-col", "label",
+                        "--method", "square", "--model-out", model_path]) == 0
+        out = tmp_path / "curves"
+        assert run_cli(["eval", "--model", model_path, "--data", blob_csv,
+                        "--label-col", "label", "--positive-class", "2", "--out-dir", out]) == 0
+        model = load_model(model_path)
+        scores, truth = multiclass_binary_scores(model, load_csv(blob_csv, "label"), 2)
+        for name, curve in (("roc.csv", roc_curve), ("pr.csv", pr_curve)):
+            write_curve(tmp_path / name, curve(scores, truth))
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert (out / "roc.csv").read_text().startswith("threshold,x,y\n")
+
     def test_eval_rejects_unknown_label(self, tmp_path, capsys):
         train_file = tmp_path / "train.csv"
         train_file.write_text("x,kind\n2.0,a\n-2.0,b\n")
@@ -155,6 +171,51 @@ class TestErrors:
         assert err.count("\n") == 1
         assert "leading minor" not in err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.fixture
+    def square_model(self, tmp_path, blob_csv):
+        path = tmp_path / "m.json"
+        assert run_cli(["train", "--data", blob_csv, "--label-col", "label",
+                        "--method", "square", "--model-out", path]) == 0
+        return path
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_predict_rejects_non_finite_cell(self, tmp_path, square_model, cell, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"f1,f2\n0.5,1.0\n{cell},0\n")
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        assert run_cli(["predict", "--model", square_model, "--data", data, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "row 2, column 'f1'" in err and "non-finite" in err
+        assert "np.float64" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["0.5,1.0,1,7", "0.5"])
+    def test_predict_rejects_ragged_row(self, tmp_path, square_model, row, capsys):
+        data = tmp_path / "ragged.csv"
+        data.write_text(f"f1,f2,label\n0.1,0.2,1\n{row}\n")
+        capsys.readouterr()
+        assert run_cli(["predict", "--model", square_model, "--data", data,
+                        "--out", tmp_path / "p.csv", "--label-col", "label"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"error: row 2: expected 3 cells, got {len(row.split(','))}" in err
+
+    def test_predict_without_label_column(self, tmp_path, blob_csv, square_model):
+        labeled, unlabeled = tmp_path / "labeled.csv", tmp_path / "unlabeled.csv"
+        features = tmp_path / "features.csv"
+        features.write_text("".join(
+            line.rsplit(",", 1)[0] + "\n" for line in blob_csv.read_text().splitlines()
+        ))
+        assert run_cli(["predict", "--model", square_model, "--data", blob_csv,
+                        "--out", labeled, "--label-col", "label"]) == 0
+        assert run_cli(["predict", "--model", square_model, "--data", features,
+                        "--out", unlabeled, "--label-col", "label"]) == 0
+        assert labeled.read_bytes() == unlabeled.read_bytes()
+        assert len(unlabeled.read_text().splitlines()) == 81
 
     def test_bad_config_is_one_line_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -12,6 +12,7 @@ from correntia import (
     kfold,
     label_indicator,
     load_csv,
+    load_features,
     split,
 )
 
@@ -92,6 +93,51 @@ class TestLoadCsv:
         path.write_text("x,cls\n")
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(path, "cls")
+
+
+class TestLoadFeatures:
+    def test_skips_label_column_when_present(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,cls,y\n1.0,a,2.0\n3.0,b,4.0\n")
+        np.testing.assert_array_equal(load_features(path, "cls"), [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(load_features(path, "cls"), load_csv(path, "cls").features)
+
+    def test_every_column_is_a_feature_without_the_label_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n1.0,2.0\n 3.0 ,4.0\n")
+        expected = [[1.0, 2.0], [3.0, 4.0]]
+        np.testing.assert_array_equal(load_features(path, "cls"), expected)
+        np.testing.assert_array_equal(load_features(path), expected)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x,y\n1.0,2.0\n3.0,4.0\n0.5,{cell}\n")
+        with pytest.raises(ValueError, match=r"^row 3, column 'y': non-finite value -?(nan|inf)$"):
+            load_features(path)
+
+    def test_unparseable_cell_names_row_and_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n1.0,2.0\n3.0,oops\n")
+        with pytest.raises(ValueError, match="row 2, column 'y': cannot parse 'oops'"):
+            load_features(path)
+
+    @pytest.mark.parametrize("row", ["1.0,2.0,3.0", "1.0", ""])
+    def test_ragged_row(self, tmp_path, row):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x,y\n1.0,2.0\n{row}\n")
+        cells = len(row.split(",")) if row else 0
+        with pytest.raises(ValueError, match=f"row 2: expected 2 cells, got {cells}"):
+            load_features(path)
+
+    def test_empty_and_header_only_files(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty file"):
+            load_features(path)
+        path.write_text("x,y\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_features(path)
 
 
 class TestLabelIndicator:

@@ -10,8 +10,10 @@ from correntia import (
     ExperimentConfig,
     MethodSpec,
     ProtocolSpec,
+    SigmaPolicy,
     SplitSpec,
     SyntheticSpec,
+    TrainConfig,
     accuracy,
     auc,
     child_seed,
@@ -215,6 +217,19 @@ class TestEmitReports:
         lines = (tmp_path / "square_noise0_roc.csv").read_text().splitlines()
         assert lines[0] == "threshold,x,y"
         assert len(lines) == len(reports[0].roc) + 1
+
+
+class TestMethodSpec:
+    def test_train_config(self):
+        rep = linear_representation()
+        method = MethodSpec("regmaxcem", alpha=0.3, iters=7, tol=1e-3, sigma=0.5, sigma_floor=1e-6)
+        assert method.train_config(rep) == TrainConfig(
+            alpha=0.3,
+            max_iters=7,
+            tol=1e-3,
+            sigma_policy=SigmaPolicy.fixed(0.5, 1e-6),
+            representation=rep,
+        )
 
 
 class TestConfigIO:

@@ -7,11 +7,9 @@ import pytest
 
 from correntia import (
     KernelSpec,
-    kernel_eval,
     kernel_representation,
     linear_representation,
     median_bandwidth,
-    represent,
     represent_matrix,
 )
 from correntia.kernels import gram
@@ -20,18 +18,18 @@ from correntia.kernels import gram
 class TestKernelEval:
     def test_rbf_zero_distance(self):
         spec = KernelSpec("rbf", 0.7)
-        assert kernel_eval(spec, [1.0, 2.0], [1.0, 2.0]) == 1.0
+        assert gram(spec, [1.0, 2.0], [1.0, 2.0])[0, 0] == 1.0
 
     def test_linear_dot_product(self):
-        assert kernel_eval(KernelSpec("linear"), [1.0, 2.0], [3.0, 4.0]) == 11.0
+        assert gram(KernelSpec("linear"), [1.0, 2.0], [3.0, 4.0])[0, 0] == 11.0
 
     def test_rbf_unit_distance(self):
-        value = kernel_eval(KernelSpec("rbf", 1.0), [0.0], [1.0])
+        value = gram(KernelSpec("rbf", 1.0), [0.0], [1.0])[0, 0]
         assert value == pytest.approx(math.exp(-0.5), abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            kernel_eval(KernelSpec("linear"), [1.0], [1.0, 2.0])
+            gram(KernelSpec("linear"), [1.0], [1.0, 2.0])
 
     def test_rbf_requires_positive_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth"):
@@ -43,18 +41,18 @@ class TestKernelEval:
 class TestRepresent:
     def test_linear_identity(self):
         x = np.array([3.0, -1.0, 2.0])
-        np.testing.assert_array_equal(represent(x, linear_representation()), x)
+        np.testing.assert_array_equal(represent_matrix(x, linear_representation())[0], x)
 
     def test_rbf_at_anchor_gives_unit_entry(self):
         anchors = np.array([[0.0, 0.0], [1.0, 3.0], [2.0, -1.0]])
         rep = kernel_representation(anchors, KernelSpec("rbf", 1.5))
-        out = represent(anchors[1], rep)
+        out = represent_matrix(anchors[1], rep)[0]
         assert out.shape == (3,)
         assert out[1] == 1.0
 
     def test_linear_kernel_identity_anchors(self):
         rep = kernel_representation(np.eye(2), KernelSpec("linear"))
-        np.testing.assert_allclose(represent(np.array([0.3, -0.7]), rep), [0.3, -0.7])
+        np.testing.assert_allclose(represent_matrix(np.array([0.3, -0.7]), rep)[0], [0.3, -0.7])
 
     def test_anchor_representation_matches_gram_column(self):
         rng = np.random.default_rng(0)
@@ -63,21 +61,20 @@ class TestRepresent:
         rep = kernel_representation(anchors, spec)
         full = gram(spec, anchors, anchors)
         for i in range(12):
-            np.testing.assert_allclose(represent(anchors[i], rep), full[:, i], atol=1e-12)
+            np.testing.assert_allclose(represent_matrix(anchors[i], rep)[0], full[:, i], atol=1e-12)
 
     def test_dimension_mismatch(self):
         rep = kernel_representation(np.zeros((4, 3)), KernelSpec("rbf", 1.0))
         with pytest.raises(ValueError, match="dimension"):
-            represent(np.zeros(2), rep)
+            represent_matrix(np.zeros(2), rep)
 
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(1)
-        anchors = rng.standard_normal((8, 2))
-        rep = kernel_representation(anchors, KernelSpec("rbf", 1.2))
-        X = rng.standard_normal((5, 2))
-        batch = represent_matrix(X, rep)
-        for i in range(5):
-            np.testing.assert_allclose(batch[i], represent(X[i], rep), atol=1e-12)
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_kernel_mode_rejects_non_finite_samples(self, kind, bad):
+        spec = KernelSpec(kind, 1.0 if kind == "rbf" else None)
+        rep = kernel_representation(np.eye(2), spec)
+        with pytest.raises(ValueError, match="row 2.*non-finite"):
+            represent_matrix([[0.0, 1.0], [1.0, 0.0], [0.0, bad]], rep)
 
     def test_kernel_mode_requires_anchors(self):
         with pytest.raises(ValueError, match="anchors"):

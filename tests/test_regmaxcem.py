@@ -20,9 +20,7 @@ from correntia import (
     linear_representation,
     load_model,
     m_step,
-    predict_label,
     predict_labels,
-    predict_scores,
     represent_matrix,
     save_model,
     score_matrix,
@@ -60,27 +58,27 @@ def ridge_oracle(X, y, alpha):
 class TestPredict:
     def test_bias_only_scores(self):
         model = linear_model(np.zeros((2, 3)), [0.3, -0.3])
-        np.testing.assert_allclose(predict_scores(model, np.zeros(3)), [0.3, -0.3])
+        np.testing.assert_allclose(score_matrix(model, np.zeros(3))[0], [0.3, -0.3])
 
     def test_hand_dot_product(self):
         model = linear_model([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
-        assert predict_scores(model, np.array([2.0, 5.0]))[0] == 2.0
+        assert score_matrix(model, np.array([2.0, 5.0]))[0, 0] == 2.0
 
     def test_linearity_in_input(self):
         rng = np.random.default_rng(0)
         model = linear_model(rng.standard_normal((3, 4)), np.zeros(3))
         x = rng.standard_normal(4)
         np.testing.assert_allclose(
-            predict_scores(model, 2 * x), 2 * predict_scores(model, x), atol=1e-12
+            score_matrix(model, 2 * x)[0], 2 * score_matrix(model, x)[0], atol=1e-12
         )
 
     def test_argmax_label(self):
         model = linear_model(np.zeros((2, 1)), [0.9, -0.5])
-        assert predict_label(model, np.zeros(1)) == 1
+        assert predict_labels(model, np.zeros(1))[0] == 1
 
     def test_tie_breaks_to_smallest_index(self):
         model = linear_model(np.zeros((2, 1)), [0.4, 0.4])
-        assert predict_label(model, np.zeros(1)) == 1
+        assert predict_labels(model, np.zeros(1))[0] == 1
 
     def test_class_permutation_equivariance(self):
         rng = np.random.default_rng(1)
@@ -88,14 +86,31 @@ class TestPredict:
         biases = rng.standard_normal(3)
         x = rng.standard_normal(2)
         perm = np.array([2, 0, 1])
-        base = predict_label(linear_model(weights, biases), x)
-        permuted = predict_label(linear_model(weights[perm], biases[perm]), x)
+        base = predict_labels(linear_model(weights, biases), x)[0]
+        permuted = predict_labels(linear_model(weights[perm], biases[perm]), x)[0]
         assert perm[permuted - 1] + 1 == base
 
     def test_dimension_mismatch(self):
         model = linear_model(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError, match="dimension"):
-            predict_scores(model, np.zeros(4))
+            score_matrix(model, np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_linear_sample_is_rejected(self, bad):
+        model = linear_model([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0])
+        X = np.array([[0.5, 0.0], [bad, 0.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="row 1.*non-finite"):
+            score_matrix(model, X)
+        with pytest.raises(ValueError, match="row 1.*non-finite"):
+            predict_labels(model, X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kernel_sample_is_rejected(self, bad):
+        anchors = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+        rep = kernel_representation(anchors, KernelSpec("rbf", 1.0))
+        model = Model(np.ones((2, 3)), [0.5, -0.5], rep, 1.0, ("1", "2"))
+        with pytest.raises(ValueError, match="row 0.*non-finite"):
+            predict_labels(model, [[bad, 0.0], [1.0, 1.0]])
 
 
 class TestEStep:
@@ -425,4 +440,6 @@ class TestKernelConsistency:
         model, _ = train(ds, TrainConfig(max_iters=10, representation=rep))
         batch = score_matrix(model, features)
         for i in range(25):
-            np.testing.assert_allclose(predict_scores(model, features[i]), batch[i], atol=1e-10)
+            kernel_row = np.exp(-np.sum((features - features[i]) ** 2, axis=1) / 2.0)
+            expected = model.weights @ kernel_row + model.biases
+            np.testing.assert_allclose(batch[i], expected, atol=1e-10)
