@@ -12,7 +12,6 @@ training objective.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import Dataset, label_indicator
 from .kernels import Representation, represent_matrix
@@ -135,6 +134,9 @@ def train_logistic(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Mod
     backtracking guarantees a monotone loss; iteration stops once the
     gradient norm falls below ``tol * (1 + |loss|)``.
     """
+    # Local import: scipy.special adds ~0.07 s to start-up; only this baseline uses it.
+    from scipy.special import expit
+
     if cfg.loss != "logistic":
         raise ValueError(f"config loss is {cfg.loss!r}, expected 'logistic'")
     represented = represent_matrix(ds.features, rep)

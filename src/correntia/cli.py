@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from .dataset import load_csv, load_features
-from .evaluation import accuracy, auc, multiclass_binary_scores, pr_curve, roc_curve
+from .evaluation import accuracy, auc, pr_curve, roc_curve
 from .harness import (
     MethodSpec,
     SyntheticSpec,
@@ -26,7 +26,7 @@ from .harness import (
     train_method,
     write_curve,
 )
-from .regmaxcem import load_model, predict_labels, save_model, score_matrix, train
+from .regmaxcem import load_model, save_model, score_matrix, train
 
 __all__ = ["main"]
 
@@ -179,12 +179,13 @@ def _cmd_eval(args) -> int:
     model = load_model(args.model)
     ds = _align_to_model(load_csv(args.data, args.label_col), model)
     positive = _resolve_class(model, args.positive_class)
-    acc = accuracy(predict_labels(model, ds.features), ds.labels)
+    scores = score_matrix(model, ds.features)  # one pass feeds the accuracy and the curves
+    acc = accuracy(np.argmax(scores, axis=1) + 1, ds.labels)
     print(f"accuracy={acc!r}")
     try:
-        scores, truth = multiclass_binary_scores(model, ds, positive)
-        roc = roc_curve(scores, truth)
-        pr = pr_curve(scores, truth)
+        column, truth = scores[:, positive - 1], ds.labels == positive
+        roc = roc_curve(column, truth)
+        pr = pr_curve(column, truth)
         print(f"auc={auc(roc)!r}")
         if args.out_dir:
             from pathlib import Path

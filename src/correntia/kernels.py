@@ -10,7 +10,6 @@ function of immutable inputs.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 __all__ = [
     "KernelSpec",
@@ -81,6 +80,9 @@ def gram(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]}")
     if spec.kind == "linear":
         return rows @ cols.T
+    # Local import: scipy.spatial adds ~0.1 s to start-up; only kernel mode uses it.
+    from scipy.spatial.distance import cdist
+
     sq = cdist(rows, cols, metric="sqeuclidean")
     return np.exp(-sq / (2.0 * spec.bandwidth**2))
 
@@ -113,5 +115,7 @@ def median_bandwidth(features: np.ndarray) -> float:
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[0] < 2:
         raise ValueError("median bandwidth needs at least 2 samples")
+    from scipy.spatial.distance import pdist
+
     med = float(np.median(pdist(features)))
     return med if med > 0 else 1.0

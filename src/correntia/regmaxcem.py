@@ -21,8 +21,12 @@ equivalent formulation used here).  The very first weight update sees the
 uniform auxiliary matrix and uses the plain ridge parameter, which makes
 it coincide with the closed-form square-loss baseline.
 
-Training is deterministic and single-threaded; the per-class ridge solves
-are independent and run sequentially so results never depend on scheduling.
+Training is deterministic: the per-class ridge solves are independent and
+run one after another, and reruns with the same BLAS thread count give
+identical models.  The linear algebra inside each solve uses the BLAS
+library's threads (``OPENBLAS_NUM_THREADS``); a different thread count can
+move the last bits of the parameters (about 1e-13 on a 660-anchor kernel
+model).
 Trained models are immutable and safe to share across threads.
 """
 
@@ -30,6 +34,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Kept at module level: deferred into m_step, its ~0.25 s import would land
+# inside the first train() call instead of at `import correntia`.
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 
@@ -373,24 +380,85 @@ def save_model(model: Model, path) -> None:
         handle.write("\n")
 
 
+_MODEL_KEYS = ("mode", "kernel", "anchors", "weights", "biases", "sigma_final", "class_map")
+
+
 def load_model(path) -> Model:
-    """Load a model written by :func:`save_model`."""
+    """Load a model written by :func:`save_model`.
+
+    Raises ``ValueError`` naming ``path`` and the problem when the file is
+    not a version-1 correntia model, lacks a key, or holds inconsistent
+    parameters: ``weights`` must be a non-empty ``L x D'`` matrix,
+    ``biases`` and ``class_map`` must have ``L`` entries, and in kernel
+    mode ``D'`` must equal the number of anchors.  (In linear mode ``D'``
+    is checked against the data when it is scored.)
+    """
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    if payload.get("format") != "correntia-model":
-        raise ValueError(f"{path}: not a correntia model file")
+    try:
+        return _model_from_payload(payload)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _numbers(value, key: str, ndim: int) -> np.ndarray:
+    try:
+        array = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged rows or non-numeric entries
+        array = np.empty(0)
+    if array.ndim != ndim or array.size == 0:
+        shape = "matrix" if ndim == 2 else "list"
+        raise ValueError(f"{key} must be a non-empty {shape} of numbers")
+    return array
+
+
+def _model_from_payload(payload) -> Model:
+    if not isinstance(payload, dict) or payload.get("format") != "correntia-model":
+        raise ValueError("not a correntia model file")
+    if payload.get("version") != 1:
+        raise ValueError(f"unsupported model file version {payload.get('version')!r}, expected 1")
+    missing = [key for key in _MODEL_KEYS if key not in payload]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(missing)}")
+
+    weights = _numbers(payload["weights"], "weights", 2)
+    num_classes, dim = weights.shape
+    biases = _numbers(payload["biases"], "biases", 1)
+    if biases.size != num_classes:
+        raise ValueError(f"biases has {biases.size} entries for {num_classes} weight rows")
+    class_map = payload["class_map"]
+    if not (
+        isinstance(class_map, list)
+        and len(class_map) == num_classes
+        and all(isinstance(name, str) for name in class_map)
+    ):
+        raise ValueError(f"class_map must list {num_classes} class names, one per weight row")
+    sigma_final = payload["sigma_final"]
+    if isinstance(sigma_final, bool) or not isinstance(sigma_final, (int, float)):
+        raise ValueError(f"sigma_final must be a number, got {sigma_final!r}")
+
     kernel = payload["kernel"]
-    spec = None if kernel is None else KernelSpec(kernel["kind"], kernel["bandwidth"])
+    if kernel is not None and not (
+        isinstance(kernel, dict)
+        and {"kind", "bandwidth"} <= kernel.keys()
+        and isinstance(kernel["bandwidth"], (int, float, type(None)))
+    ):
+        raise ValueError("kernel must be null or an object with kind and a numeric bandwidth")
     anchors = payload["anchors"]
     rep = Representation(
         mode=payload["mode"],
-        anchors=None if anchors is None else np.array(anchors, dtype=np.float64),
-        kernel=spec,
+        anchors=None if anchors is None else _numbers(anchors, "anchors", 2),
+        kernel=None if kernel is None else KernelSpec(kernel["kind"], kernel["bandwidth"]),
     )
+    if rep.mode == "kernel" and rep.anchors.shape[0] != dim:
+        raise ValueError(
+            f"weights have {dim} columns but the kernel representation has "
+            f"{rep.anchors.shape[0]} anchors"
+        )
     return Model(
-        weights=np.array(payload["weights"], dtype=np.float64),
-        biases=np.array(payload["biases"], dtype=np.float64),
+        weights=weights,
+        biases=biases,
         representation=rep,
-        sigma_final=float(payload["sigma_final"]),
-        class_map=tuple(payload["class_map"]),
+        sigma_final=float(sigma_final),
+        class_map=tuple(class_map),
     )

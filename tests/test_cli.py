@@ -1,18 +1,33 @@
 """End-to-end CLI flows: synth, train, predict, eval, experiment."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import correntia
+import correntia.cli
+import correntia.evaluation
+import correntia.regmaxcem
 from correntia import load_csv, load_model, multiclass_binary_scores, pr_curve, roc_curve
 from correntia.cli import main
 from correntia.harness import write_curve
 
+# Child interpreters import the same checkout as this one.
+SRC_DIR = str(Path(correntia.__file__).resolve().parents[1])
+
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def run_python(args):
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 @pytest.fixture
@@ -135,6 +150,28 @@ class TestTrainPredictEval:
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
         assert (out / "roc.csv").read_text().startswith("threshold,x,y\n")
 
+    def test_eval_scores_the_data_once(self, tmp_path, blob_csv, monkeypatch, capsys):
+        model_path = tmp_path / "kernel.json"
+        assert run_cli(["train", "--data", blob_csv, "--label-col", "label",
+                        "--method", "regmaxcem", "--model-out", model_path,
+                        "--representation", "kernel", "--iters", "3"]) == 0
+        calls = []
+        score_matrix = correntia.regmaxcem.score_matrix
+
+        def counting(*args):
+            calls.append(args)
+            return score_matrix(*args)
+
+        for module in (correntia.regmaxcem, correntia.evaluation, correntia.cli):
+            monkeypatch.setattr(module, "score_matrix", counting)
+        capsys.readouterr()
+        assert run_cli(["eval", "--model", model_path, "--data", blob_csv,
+                        "--label-col", "label", "--out-dir", tmp_path / "curves"]) == 0
+        assert len(calls) == 1
+        assert [line.split("=")[0] for line in capsys.readouterr().out.splitlines()] == [
+            "accuracy", "auc", f"curves written to {tmp_path / 'curves'}"
+        ]
+
     def test_eval_rejects_unknown_label(self, tmp_path, capsys):
         train_file = tmp_path / "train.csv"
         train_file.write_text("x,kind\n2.0,a\n-2.0,b\n")
@@ -217,6 +254,16 @@ class TestErrors:
         assert labeled.read_bytes() == unlabeled.read_bytes()
         assert len(unlabeled.read_text().splitlines()) == 81
 
+    def test_predict_rejects_inconsistent_model_file(self, tmp_path, blob_csv, square_model, capsys):
+        payload = json.loads(square_model.read_text())
+        payload["class_map"] = payload["class_map"][:1]
+        square_model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli(["predict", "--model", square_model, "--data", blob_csv,
+                        "--out", tmp_path / "p.csv", "--label-col", "label"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {square_model}: class_map must list 2 class names, one per weight row\n"
+
     def test_bad_config_is_one_line_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1, "methods": [], "protocol": {"kind": "kfold"}}))
@@ -258,9 +305,47 @@ class TestExperiment:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_help(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "correntia", "--help"], capture_output=True, text=True
-        )
+        result = run_python(["-m", "correntia", "--help"])
         assert result.returncode == 0
         for sub in ("train", "predict", "eval", "experiment", "synth"):
             assert sub in result.stdout
+
+
+STARTUP_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted({".".join(m.split(".")[:2]) for m in sys.modules if m.startswith("scipy.")})
+
+import correntia
+from correntia.cli import main
+seen = {"import": scipy_modules()}
+model, data, out = sys.argv[1:]
+assert main(["predict", "--model", model, "--data", data, "--out", out + "/p.csv",
+             "--label-col", "label"]) == 0
+assert main(["eval", "--model", model, "--data", data, "--label-col", "label"]) == 0
+seen["predict+eval"] = scipy_modules()
+assert main(["train", "--data", data, "--label-col", "label", "--method", "regmaxcem",
+             "--model-out", out + "/m.json"]) == 0
+seen["train"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+class TestStartup:
+    """Only the weight update's scipy.linalg is imported with the package.
+
+    scipy.special and scipy.spatial each add ~0.1 s to start-up, so only the
+    functions that call them import them: linear-mode commands load neither.
+    """
+
+    def test_scipy_loads_only_where_used(self, tmp_path, blob_csv):
+        model_path = tmp_path / "linear.json"
+        assert run_cli(["train", "--data", blob_csv, "--label-col", "label",
+                        "--method", "regmaxcem", "--model-out", model_path]) == 0
+        result = run_python(["-c", STARTUP_PROBE, model_path, blob_csv, tmp_path])
+        assert result.returncode == 0, result.stderr
+        seen = json.loads(result.stdout.splitlines()[-1])
+        for step in ("import", "predict+eval", "train"):
+            assert "scipy.linalg" in seen[step]
+            assert "scipy.special" not in seen[step] and "scipy.spatial" not in seen[step]

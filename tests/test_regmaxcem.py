@@ -1,5 +1,6 @@
 """Trainer internals: auxiliary update, weighted ridge step, training loop, model IO."""
 
+import json
 import math
 
 import numpy as np
@@ -427,6 +428,66 @@ class TestModelSerialization:
         path.write_text('{"something": 1}')
         with pytest.raises(ValueError, match="not a correntia model"):
             load_model(path)
+
+    def test_loads_version_1_file_exactly(self, tmp_path):
+        # the version-1 layout save_model writes; these bytes must keep loading
+        path = tmp_path / "v1.json"
+        path.write_text(
+            '{\n  "anchors": [[0.5, -1.0], [2.0, 0.25]],\n  "biases": [0.1, -0.30000000000000004],\n'
+            '  "class_map": ["spam", "ham"],\n  "format": "correntia-model",\n'
+            '  "kernel": {"bandwidth": 1.5, "kind": "rbf"},\n  "mode": "kernel",\n'
+            '  "sigma_final": 0.7,\n  "version": 1,\n'
+            '  "weights": [[1e-17, 2.5], [-3.0, 0.125]]\n}\n'
+        )
+        model = load_model(path)
+        assert model.weights.tolist() == [[1e-17, 2.5], [-3.0, 0.125]]
+        assert model.biases.tolist() == [0.1, -0.30000000000000004]
+        assert model.representation.anchors.tolist() == [[0.5, -1.0], [2.0, 0.25]]
+        assert model.representation.kernel == KernelSpec("rbf", 1.5)
+        assert (model.sigma_final, model.class_map) == (0.7, ("spam", "ham"))
+
+    @staticmethod
+    def _kernel_payload(tmp_path):
+        rng = np.random.default_rng(12)
+        features = rng.standard_normal((6, 2))
+        ds = Dataset(features, np.array([1, 2, 3] * 2), 3)
+        rep = kernel_representation(features, KernelSpec("rbf", 1.0))
+        model, _ = train(ds, TrainConfig(max_iters=2, representation=rep))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "corrupt, problem",
+        [
+            (lambda p: p.pop("mode"), "missing key.*mode"),
+            (lambda p: p.pop("weights"), "missing key.*weights"),
+            (lambda p: p.update(version=99), "version 99"),
+            (lambda p: p.pop("version"), "version None"),
+            (lambda p: p.update(class_map=p["class_map"][:2]), "class_map"),
+            (lambda p: p.update(biases=p["biases"][:2]), "biases"),
+            (lambda p: p.update(weights=[row[:-1] for row in p["weights"]]), "anchors"),
+            (lambda p: p.update(anchors=p["anchors"][:-1]), "anchors"),
+            (lambda p: p["weights"][0].pop(), "weights"),
+            (lambda p: p.update(weights=[]), "weights"),
+            (lambda p: p.update(anchors=None), "anchors"),
+            (lambda p: p.update(kernel="rbf"), "kernel"),
+            (lambda p: p["kernel"].update(bandwidth="wide"), "numeric bandwidth"),
+            (lambda p: p.update(mode="cubic"), "mode"),
+            (lambda p: p.update(sigma_final="wide"), "sigma_final"),
+        ],
+        ids=["no-mode", "no-weights", "version-99", "no-version", "short-class-map",
+             "short-biases", "narrow-weights", "fewer-anchors", "ragged-weights",
+             "empty-weights", "no-anchors", "kernel-not-object", "bandwidth-not-number",
+             "unknown-mode", "sigma-not-number"],
+    )
+    def test_rejects_inconsistent_file(self, tmp_path, corrupt, problem):
+        path, payload = self._kernel_payload(tmp_path)
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=problem) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestKernelConsistency:
