@@ -75,4 +75,4 @@ from .regmaxcem import (
 )
 from .seeding import child_seed, make_rng
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -19,32 +19,27 @@ from .regmaxcem import Model, m_step
 
 __all__ = ["BaselineConfig", "train_square", "train_hinge", "train_logistic"]
 
-LOSSES = ("square", "hinge", "logistic")
-
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Settings for the baseline trainers.
+    """Settings for the iterative baselines, :func:`train_hinge` and :func:`train_logistic`.
 
     ``step_size`` seeds the hinge schedule (``step_size / sqrt(t)``) and the
-    logistic line search; ``tol`` is the logistic gradient-norm stop.  Both
-    are ignored by the closed-form square loss.
+    logistic line search; ``tol`` is the logistic gradient-norm stop.  The
+    closed-form :func:`train_square` takes only ``alpha``.
     """
 
-    loss: str
     alpha: float = 0.01
     max_iters: int = 500
     step_size: float = 1.0
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}; expected one of {LOSSES}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.loss in ("hinge", "logistic") and self.step_size <= 0:
+        if self.step_size <= 0:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if self.tol < 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
@@ -88,8 +83,6 @@ def train_hinge(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Model:
     candidate, so the result never scores worse than the zero model).  At a
     kink (margin exactly 1) the subgradient contribution is taken as 0.
     """
-    if cfg.loss != "hinge":
-        raise ValueError(f"config loss is {cfg.loss!r}, expected 'hinge'")
     represented = represent_matrix(ds.features, rep)  # n x D'
     indicator = label_indicator(ds.labels, ds.num_classes)
     n, dim = represented.shape
@@ -137,8 +130,6 @@ def train_logistic(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Mod
     # Local import: scipy.special adds ~0.07 s to start-up; only this baseline uses it.
     from scipy.special import expit
 
-    if cfg.loss != "logistic":
-        raise ValueError(f"config loss is {cfg.loss!r}, expected 'logistic'")
     represented = represent_matrix(ds.features, rep)
     indicator = label_indicator(ds.labels, ds.num_classes)
     n, dim = represented.shape

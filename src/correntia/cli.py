@@ -13,8 +13,9 @@ from dataclasses import replace
 import numpy as np
 
 from .dataset import load_csv, load_features
-from .evaluation import accuracy, auc, pr_curve, roc_curve
+from .evaluation import accuracy, auc, multiclass_binary_scores, pr_curve, roc_curve
 from .harness import (
+    METHOD_NAMES,
     MethodSpec,
     SyntheticSpec,
     build_representation,
@@ -50,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train one method on a CSV dataset")
     t.add_argument("--data", required=True)
     t.add_argument("--label-col", required=True)
-    t.add_argument("--method", required=True, choices=("regmaxcem", "square", "hinge", "logistic"))
+    t.add_argument("--method", required=True, choices=METHOD_NAMES)
     t.add_argument("--model-out", required=True)
     t.add_argument("--representation", default="linear", choices=("linear", "kernel"))
     t.add_argument("--kernel", default="rbf", choices=("linear", "rbf"))
@@ -183,7 +184,7 @@ def _cmd_eval(args) -> int:
     acc = accuracy(np.argmax(scores, axis=1) + 1, ds.labels)
     print(f"accuracy={acc!r}")
     try:
-        column, truth = scores[:, positive - 1], ds.labels == positive
+        column, truth = multiclass_binary_scores(scores, ds.labels, positive)
         roc = roc_curve(column, truth)
         pr = pr_curve(column, truth)
         print(f"auc={auc(roc)!r}")

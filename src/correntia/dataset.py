@@ -233,20 +233,25 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 def kfold(ds: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
     """Deterministic k-fold split: k non-overlapping test folds covering all samples.
 
-    Fold sizes differ by at most one sample.
+    Fold sizes differ by at most one sample.  The first assignment shuffles
+    with ``seed`` itself; if a training fold then misses a class, the
+    assignment is retried with a derived seed, up to 100 attempts.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > ds.n_samples:
         raise ValueError(f"k={k} exceeds the number of samples N={ds.n_samples}")
-    perm = make_rng(seed).permutation(ds.n_samples)
-    folds = np.array_split(perm, k)
-    pairs = []
-    for i in range(k):
-        test_idx = folds[i]
-        train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
-        pairs.append((ds.take(train_idx), ds.take(test_idx)))
-    return pairs
+    classes = np.arange(1, ds.num_classes + 1)
+    for attempt in range(100):
+        rng = make_rng(child_seed(seed, attempt) if attempt else seed)
+        folds = np.array_split(rng.permutation(ds.n_samples), k)
+        train_sets = [np.concatenate(folds[:i] + folds[i + 1 :]) for i in range(k)]
+        absent = np.concatenate([np.setdiff1d(classes, ds.labels[idx]) for idx in train_sets])
+        if not absent.size:
+            return [(ds.take(tr), ds.take(te)) for tr, te in zip(train_sets, folds)]
+    raise ValueError(
+        f"class {absent.min()} was absent from a training fold after 100 reseeded attempts (k={k})"
+    )
 
 
 def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:

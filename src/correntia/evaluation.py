@@ -14,8 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .regmaxcem import Model, score_matrix
-
 __all__ = [
     "ConfusionCounts",
     "CurvePoint",
@@ -251,17 +249,15 @@ def paired_ttest(a, b) -> tuple[float, float]:
     return t, student_t_sf(t, n - 1)
 
 
-def multiclass_binary_scores(model: Model, ds, positive_class: int):
-    """One-vs-rest binarization: class scores and boolean truth for one class.
+def multiclass_binary_scores(scores, labels, positive_class: int):
+    """One-vs-rest binarization of an ``n x L`` score matrix for one class.
 
-    Returns ``(scores, truth)`` where ``scores`` are the model's outputs for
-    ``positive_class`` over the dataset and ``truth`` marks samples whose
-    label equals it.  The pair feeds :func:`roc_curve` / :func:`pr_curve`.
+    Returns ``(column, truth)`` where ``column`` holds the scores of
+    ``positive_class`` (``1..L``) and ``truth`` marks the samples whose label
+    equals it.  The pair feeds :func:`roc_curve` / :func:`pr_curve`.
     """
-    if not 1 <= positive_class <= model.num_classes:
-        raise ValueError(
-            f"positive_class {positive_class} out of range 1..{model.num_classes}"
-        )
-    scores = score_matrix(model, ds.features)[:, positive_class - 1]
-    truth = ds.labels == positive_class
-    return scores, truth
+    scores = np.asarray(scores)
+    num_classes = scores.shape[1]
+    if not 1 <= positive_class <= num_classes:
+        raise ValueError(f"positive_class {positive_class} out of range 1..{num_classes}")
+    return scores[:, positive_class - 1], np.asarray(labels) == positive_class

@@ -5,7 +5,10 @@ rate, label noise is injected into each training portion only (the test
 portions stay pristine, and the runner asserts as much); every method then
 trains on the identical noisy training sets, which is what makes the
 per-split accuracies a matched sample for the pairwise paired t-tests.
-Failures inside one cell are caught and recorded on that method's report
+Each split's representation depends only on its training features, so it
+is built once, before any training, and shared by every noise rate and
+method; one that cannot be built raises.  Failures inside one cell
+(training or scoring) are caught and recorded on that method's report
 instead of aborting the sweep.  Cells are mutually independent; this
 implementation runs them sequentially, and report order always follows the
 config regardless of how cells would be scheduled.
@@ -37,7 +40,7 @@ from .kernels import (
     linear_representation,
     median_bandwidth,
 )
-from .regmaxcem import TrainConfig, predict_labels, train
+from .regmaxcem import TrainConfig, predict_labels, score_matrix, train
 from .seeding import child_seed, make_rng
 
 __all__ = [
@@ -227,16 +230,10 @@ def train_method(method: MethodSpec, ds: Dataset, rep: Representation):
         return model
     if method.name == "square":
         return train_square(ds, rep, method.alpha)
-    cfg = BaselineConfig(
-        loss=method.name,
-        alpha=method.alpha,
-        max_iters=method.iters,
-        step_size=method.step_size,
-        tol=method.tol,
+    config = BaselineConfig(
+        alpha=method.alpha, max_iters=method.iters, step_size=method.step_size, tol=method.tol
     )
-    if method.name == "hinge":
-        return train_hinge(ds, rep, cfg)
-    return train_logistic(ds, rep, cfg)
+    return (train_hinge if method.name == "hinge" else train_logistic)(ds, rep, config)
 
 
 def select_alpha_by_cv(
@@ -256,12 +253,12 @@ def select_alpha_by_cv(
     with the best mean accuracy; ties go to the smallest alpha.
     """
     pairs = kfold(ds, min(folds, ds.n_samples), child_seed(seed, 3))
+    reps = [build_representation(tr.features, representation, kernel, bandwidth) for tr, _ in pairs]
     best_alpha, best_score = None, -np.inf
     for alpha in grid:
         candidate = replace(method, alpha=float(alpha))
         scores = []
-        for inner_train, inner_test in pairs:
-            rep = build_representation(inner_train.features, representation, kernel, bandwidth)
+        for (inner_train, inner_test), rep in zip(pairs, reps):
             model = train_method(candidate, inner_train, rep)
             scores.append(accuracy(predict_labels(model, inner_test.features), inner_test.labels))
         mean_score = float(np.mean(scores))
@@ -290,10 +287,18 @@ def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
 
     Order: for each noise rate (config order), one report per method
     (config order).  When two or more methods are present, each report
-    carries pairwise paired t-tests on the per-split accuracies.
+    carries pairwise paired t-tests on the per-split accuracies.  Raises
+    ``ValueError`` before any training when ``positive_class`` is outside
+    ``1..L`` or a split's representation cannot be built.
     """
     ds = _load_dataset(cfg)
+    if not 1 <= cfg.positive_class <= ds.num_classes:
+        raise ValueError(f"positive_class {cfg.positive_class} out of range 1..{ds.num_classes}")
     folds = _make_folds(ds, cfg)
+    reps = [
+        build_representation(tr.features, cfg.representation, cfg.kernel, cfg.bandwidth)
+        for tr, _ in folds
+    ]
     # pristine test labels, used to assert noise never leaks into test data
     test_fingerprints = [test.labels.tobytes() for _, test in folds]
 
@@ -306,28 +311,22 @@ def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
         rate_reports: list[EvalReport] = []
         for method in cfg.methods:
             per_split: list[float] = []
-            pooled_scores: list[np.ndarray] = []
-            pooled_truth: list[np.ndarray] = []
+            pooled: list[tuple[np.ndarray, np.ndarray]] = []  # one-vs-rest (scores, truth)
             errors: list[str] = []
-            for s, (noisy, (_, test)) in enumerate(zip(noisy_trains, folds)):
+            for s, (noisy, rep, (_, test)) in enumerate(zip(noisy_trains, reps, folds)):
                 try:
-                    rep = build_representation(
-                        noisy.features, cfg.representation, cfg.kernel, cfg.bandwidth
-                    )
                     model = train_method(method, noisy, rep)
-                    per_split.append(accuracy(predict_labels(model, test.features), test.labels))
-                    scores, truth = multiclass_binary_scores(model, test, cfg.positive_class)
-                    pooled_scores.append(scores)
-                    pooled_truth.append(truth)
+                    scores = score_matrix(model, test.features)
+                    per_split.append(accuracy(np.argmax(scores, axis=1) + 1, test.labels))
+                    pooled.append(multiclass_binary_scores(scores, test.labels, cfg.positive_class))
                 except Exception as exc:  # cell isolation: record, keep sweeping
                     errors.append(f"method={method.name} noise={rate} split={s}: {exc}")
                 assert test.labels.tobytes() == test_fingerprints[s], "test labels were mutated"
             roc_points: tuple[CurvePoint, ...] = ()
             pr_points: tuple[CurvePoint, ...] = ()
             area = None
-            if pooled_scores:
-                all_scores = np.concatenate(pooled_scores)
-                all_truth = np.concatenate(pooled_truth)
+            if pooled:
+                all_scores, all_truth = map(np.concatenate, zip(*pooled))
                 try:
                     roc_points = tuple(roc_curve(all_scores, all_truth))
                     pr_points = tuple(pr_curve(all_scores, all_truth))

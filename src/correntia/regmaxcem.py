@@ -206,6 +206,8 @@ def m_step(aux: AuxMatrix, represented: np.ndarray, indicator: np.ndarray, alpha
 
     Raises
     ------
+    ValueError
+        If ``alpha < 0`` or the shapes disagree.
     DegenerateClassError
         If a class's auxiliary weights sum below 1e-12 (every sample
         down-weighted to numerical zero); the first such class is named.
@@ -224,6 +226,8 @@ def m_step(aux: AuxMatrix, represented: np.ndarray, indicator: np.ndarray, alpha
         raise ValueError(f"aux shape {aux.shape} does not match indicator shape {indicator.shape}")
     if represented.shape[1] != n:
         raise ValueError(f"represented has {represented.shape[1]} columns, expected {n}")
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
     dim = represented.shape[0]
 
     u_sq = -aux / n

@@ -1,7 +1,9 @@
-"""Public names: every ``__all__`` entry resolves and star-imports work."""
+"""Public names: ``__all__`` entries and the benchmark's traced functions resolve."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +32,17 @@ def test_star_import(name):
     namespace = {}
     exec(f"from correntia.{name} import *", namespace)
     assert set(importlib.import_module(f"correntia.{name}").__all__) <= set(namespace)
+
+
+def test_benchmark_traced_functions_resolve():
+    # perfbench/run.py --trace 1 wraps these by name and fails if one is gone
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{func}"
+        for module, func in tracing.TRACED
+        if not callable(getattr(importlib.import_module(f"correntia.{module}"), func, None))
+    ]
+    assert tracing.TRACED and not missing, f"perfbench traces undefined {missing}"

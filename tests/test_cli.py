@@ -10,9 +10,16 @@ import pytest
 
 import correntia
 import correntia.cli
-import correntia.evaluation
+import correntia.harness
 import correntia.regmaxcem
-from correntia import load_csv, load_model, multiclass_binary_scores, pr_curve, roc_curve
+from correntia import (
+    load_csv,
+    load_model,
+    multiclass_binary_scores,
+    pr_curve,
+    roc_curve,
+    score_matrix,
+)
 from correntia.cli import main
 from correntia.harness import write_curve
 
@@ -144,7 +151,8 @@ class TestTrainPredictEval:
         assert run_cli(["eval", "--model", model_path, "--data", blob_csv,
                         "--label-col", "label", "--positive-class", "2", "--out-dir", out]) == 0
         model = load_model(model_path)
-        scores, truth = multiclass_binary_scores(model, load_csv(blob_csv, "label"), 2)
+        ds = load_csv(blob_csv, "label")
+        scores, truth = multiclass_binary_scores(score_matrix(model, ds.features), ds.labels, 2)
         for name, curve in (("roc.csv", roc_curve), ("pr.csv", pr_curve)):
             write_curve(tmp_path / name, curve(scores, truth))
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
@@ -162,7 +170,7 @@ class TestTrainPredictEval:
             calls.append(args)
             return score_matrix(*args)
 
-        for module in (correntia.regmaxcem, correntia.evaluation, correntia.cli):
+        for module in (correntia.regmaxcem, correntia.harness, correntia.cli):
             monkeypatch.setattr(module, "score_matrix", counting)
         capsys.readouterr()
         assert run_cli(["eval", "--model", model_path, "--data", blob_csv,
@@ -207,6 +215,13 @@ class TestErrors:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "leading minor" not in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_negative_alpha_is_one_line_error(self, tmp_path, blob_csv, capsys):
+        code = run_cli(["train", "--data", blob_csv, "--label-col", "label", "--method", "square",
+                        "--model-out", tmp_path / "m.json", "--alpha", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: alpha must be >= 0, got -1.0\n"
         assert not (tmp_path / "m.json").exists()
 
     @pytest.fixture
@@ -294,6 +309,13 @@ class TestExperiment:
         for report in summary["reports"]:
             assert len(report["ttests"]) == 1
         assert (out / "regmaxcem_noise0.1_roc.csv").exists()
+
+    def test_positive_class_out_of_range_is_one_line_error(self, tmp_path, capsys):
+        config = self._config(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), "positive_class": 3}))
+        assert run_cli(["experiment", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == "error: positive_class 3 out of range 1..2\n"
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_results(self, tmp_path):
         config = self._config(tmp_path)

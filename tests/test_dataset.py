@@ -13,6 +13,7 @@ from correntia import (
     label_indicator,
     load_csv,
     load_features,
+    make_rng,
     split,
 )
 
@@ -236,6 +237,31 @@ class TestKfold:
     def test_k_below_two(self):
         with pytest.raises(ValueError, match=">= 2"):
             kfold(blob(), 1, seed=0)
+
+    def test_training_fold_missing_a_class_raises(self):
+        # the lone class-3 sample always sits in some test fold
+        ds = Dataset(np.arange(9.0)[:, None], np.array([1, 2, 1, 2, 1, 2, 1, 2, 3]), 3)
+        with pytest.raises(ValueError, match="class 3 .*100 reseeded attempts"):
+            kfold(ds, 3, seed=0)
+
+    def test_reseeds_until_every_training_fold_covers_all_classes(self):
+        ds = Dataset(np.arange(12.0)[:, None], np.array([1] * 8 + [2] * 2 + [3] * 2), 3)
+        seeds = [s for s in range(40) if _first_permutation_misses_a_class(ds, 3, s)]
+        assert seeds, "no seed whose first fold assignment misses a class"
+        for seed in seeds:
+            for train, _ in kfold(ds, 3, seed):
+                assert set(train.labels) == {1, 2, 3}
+
+    def test_working_fold_assignment_is_the_seeds_permutation(self):
+        ds = blob(n=30, num_classes=3, seed=8)
+        perm = make_rng(4).permutation(30)
+        tests = [test.features for _, test in kfold(ds, 3, seed=4)]
+        np.testing.assert_array_equal(np.vstack(tests), ds.features[perm])
+
+
+def _first_permutation_misses_a_class(ds, k, seed):
+    folds = np.array_split(make_rng(seed).permutation(ds.n_samples), k)
+    return any(set(np.delete(ds.labels, fold)) != set(ds.labels) for fold in folds)
 
 
 class TestInjectLabelNoise:

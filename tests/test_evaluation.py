@@ -19,6 +19,7 @@ from correntia import (
     paired_ttest,
     pr_curve,
     roc_curve,
+    score_matrix,
     student_t_sf,
 )
 from correntia.evaluation import regularized_incomplete_beta
@@ -251,25 +252,28 @@ class TestMulticlassBinaryScores:
             class_map=("a", "b"),
         )
 
+    def _scores(self, ds):
+        return score_matrix(self._model(), ds.features)
+
     def test_two_class_truth_is_binarized_labels(self):
         ds = Dataset(np.array([[1.0], [-2.0], [3.0]]), np.array([1, 2, 1]), 2)
-        scores, truth = multiclass_binary_scores(self._model(), ds, 1)
+        scores, truth = multiclass_binary_scores(self._scores(ds), ds.labels, 1)
         np.testing.assert_array_equal(truth, [True, False, True])
         np.testing.assert_allclose(scores, [1.0, -2.0, 3.0])
 
     def test_absent_positive_class_gives_all_negative_truth(self):
         ds = Dataset(np.array([[1.0], [2.0]]), np.array([1, 1]), 2)
-        scores, truth = multiclass_binary_scores(self._model(), ds, 2)
+        scores, truth = multiclass_binary_scores(self._scores(ds), ds.labels, 2)
         assert not truth.any()
         with pytest.raises(ValueError):
             roc_curve(scores, truth)
 
     def test_perfect_model_yields_unit_auc(self):
         ds = Dataset(np.array([[2.0], [1.5], [-1.0], [-2.5]]), np.array([1, 1, 2, 2]), 2)
-        scores, truth = multiclass_binary_scores(self._model(), ds, 1)
+        scores, truth = multiclass_binary_scores(self._scores(ds), ds.labels, 1)
         assert auc(roc_curve(scores, truth)) == 1.0
 
     def test_out_of_range_class(self):
         ds = Dataset(np.array([[1.0]]), np.array([1]), 2)
         with pytest.raises(ValueError, match="out of range"):
-            multiclass_binary_scores(self._model(), ds, 3)
+            multiclass_binary_scores(self._scores(ds), ds.labels, 3)

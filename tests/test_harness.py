@@ -2,10 +2,12 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from correntia import harness, regmaxcem
 from correntia import (
     ExperimentConfig,
     MethodSpec,
@@ -45,6 +47,21 @@ def blob_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` made through any correntia module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, bound in list(sys.modules.items()):
+        if key.split(".")[0] == "correntia" and getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, counting)
+    return calls
 
 
 class TestGenerateSynthetic:
@@ -158,6 +175,32 @@ class TestRunExperiment:
         reports = run_experiment(cfg)
         assert all(r.accuracy > 0.9 for r in reports)
 
+    def test_one_representation_per_split_and_one_score_per_cell(self, monkeypatch):
+        scores = count_calls(monkeypatch, regmaxcem, "score_matrix")
+        builds = count_calls(monkeypatch, harness, "build_representation")
+        cfg = blob_config(
+            methods=(MethodSpec("regmaxcem"), MethodSpec("square"), MethodSpec("hinge", iters=50)),
+            protocol=ProtocolSpec("kfold", k=3),
+            noise_rates=(0.0, 0.2),
+        )
+        reports = run_experiment(cfg)
+        assert [len(r.per_split_accuracies) for r in reports] == [3] * 6
+        assert len(scores) == 18
+        assert len(builds) == 3
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"representation": "kernel", "bandwidth": -1.0}, "bandwidth > 0"),
+            ({"positive_class": 3}, "positive_class 3 out of range 1..2"),
+        ],
+    )
+    def test_bad_setup_raises_before_training(self, monkeypatch, overrides, message):
+        trained = count_calls(monkeypatch, harness, "train_method")
+        with pytest.raises(ValueError, match=message):
+            run_experiment(blob_config(**overrides))
+        assert not trained
+
 
 class TestSelectAlphaByCv:
     def test_returns_grid_member_deterministically(self):
@@ -170,6 +213,12 @@ class TestSelectAlphaByCv:
         # fully separable: every alpha scores 1.0, so the grid's head wins
         ds = generate_synthetic(SyntheticSpec(((8.0,), (-8.0,)), 0.2, 20, seed=5))
         assert select_alpha_by_cv(MethodSpec("square"), ds) == ALPHA_GRID[0]
+
+    def test_one_representation_per_fold(self, monkeypatch):
+        builds = count_calls(monkeypatch, harness, "build_representation")
+        ds = generate_synthetic(SyntheticSpec(((2.0, 0.0), (-2.0, 0.0)), 1.0, 25, seed=4))
+        select_alpha_by_cv(MethodSpec("square"), ds, representation="kernel", folds=5)
+        assert len(builds) == 5
 
 
 class TestEmitReports:
