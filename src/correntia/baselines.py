@@ -7,6 +7,10 @@ evaluation.  All optimization is full-batch and deterministic (no
 stochastic sampling), keeping experiments reproducible without any seed
 interplay.  The 0-1 loss appears only as the accuracy metric, never as a
 training objective.
+
+The hinge trainer steps all L classes together, two GEMMs per iteration
+over an L x n margin matrix.  The logistic trainer loops over the classes,
+because each class keeps its own Armijo step and backtracking sequence.
 """
 
 from dataclasses import dataclass
@@ -69,53 +73,53 @@ def train_square(ds: Dataset, rep: Representation, alpha: float) -> Model:
     return _assemble(weights, biases, rep, ds)
 
 
-def _hinge_value(margins_comp, w, n, alpha):
-    # margins_comp = 1 - y * f; per-class objective (full objective times L)
-    return float(np.sum(np.maximum(margins_comp, 0.0))) / n + alpha * float(w @ w)
-
-
 def train_hinge(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Model:
     """Deterministic full-batch subgradient descent on the hinge loss.
 
     Minimizes ``mean(max(0, 1 - scores * indicator)) + (alpha / L) sum ||w_l||^2``
     with step schedule ``step_size / sqrt(t)``, capped at ``max_iters``, and
-    returns the iterate with the best objective seen (the zero start is a
-    candidate, so the result never scores worse than the zero model).  At a
-    kink (margin exactly 1) the subgradient contribution is taken as 0.
+    returns, per class, the iterate with the best objective seen (the zero
+    start is a candidate, so no class scores worse than the zero model).  At
+    a kink (margin exactly 1) the subgradient contribution is taken as 0.
+    All L classes are stepped together: each iteration is one GEMM for the
+    L x n margins and one for the L x D' subgradient.  The classes are
+    independent problems, so this gives the per-class results of L separate
+    loops.  Raises ``FloatingPointError`` naming the lowest-index class whose
+    objective turned non-finite at the first iteration where any did.
     """
     represented = represent_matrix(ds.features, rep)  # n x D'
-    indicator = label_indicator(ds.labels, ds.num_classes)
+    indicator = label_indicator(ds.labels, ds.num_classes)  # L x n
     n, dim = represented.shape
     alpha = cfg.alpha
 
-    weights = np.empty((ds.num_classes, dim))
-    biases = np.empty(ds.num_classes)
-    for l in range(ds.num_classes):
-        y = indicator[l]
-        w = np.zeros(dim)
-        b = 0.0
-        margins_comp = 1.0 - y * (represented @ w + b)
-        best = _hinge_value(margins_comp, w, n, alpha)
-        best_w, best_b = w.copy(), b
+    weights = np.zeros((ds.num_classes, dim))
+    biases = np.zeros(ds.num_classes)
+    margins_comp = np.ones_like(indicator)  # 1 - y * f at the zero start
+    best = np.ones(ds.num_classes)  # every margin is 1 there, so each objective is 1
+    best_weights, best_biases = weights.copy(), biases.copy()
+    # Overflow is caught below as a non-finite objective, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.max_iters + 1):
-            active = margins_comp > 0.0
-            grad_w = -(y[active] @ represented[active]) / n + 2.0 * alpha * w
-            grad_b = -float(np.sum(y[active])) / n
+            active = np.where(margins_comp > 0.0, indicator, 0.0)
+            grad_w = -(active @ represented) / n + 2.0 * alpha * weights
+            grad_b = -active.sum(axis=1) / n
             step = cfg.step_size / np.sqrt(t)
-            w = w - step * grad_w
-            b = b - step * grad_b
-            with np.errstate(over="ignore", invalid="ignore"):
-                margins_comp = 1.0 - y * (represented @ w + b)
-                value = _hinge_value(margins_comp, w, n, alpha)
-            if not np.isfinite(value):
+            weights = weights - step * grad_w
+            biases = biases - step * grad_b
+            margins_comp = 1.0 - indicator * (weights @ represented.T + biases[:, None])
+            penalty = alpha * (weights * weights).sum(axis=1)
+            value = np.maximum(margins_comp, 0.0).sum(axis=1) / n + penalty
+            finite = np.isfinite(value)
+            if not finite.all():
                 raise FloatingPointError(
-                    f"class {l + 1}: hinge objective became non-finite (step size too large?)"
+                    f"class {int(np.argmin(finite)) + 1}: hinge objective became non-finite "
+                    "(step size too large?)"
                 )
-            if value < best:
-                best, best_w, best_b = value, w.copy(), b
-        weights[l] = best_w
-        biases[l] = best_b
-    return _assemble(weights, biases, rep, ds)
+            improved = value < best
+            np.copyto(best, value, where=improved)
+            np.copyto(best_weights, weights, where=improved[:, None])
+            np.copyto(best_biases, biases, where=improved)
+    return _assemble(best_weights, best_biases, rep, ds)
 
 
 def train_logistic(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Model:

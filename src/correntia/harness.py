@@ -89,7 +89,12 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One classifier entry of an experiment: a method name plus hyperparameters."""
+    """One classifier entry of an experiment: a method name plus hyperparameters.
+
+    Every hyperparameter is checked when the entry is built, by the same
+    :class:`BaselineConfig` and :class:`SigmaPolicy` checks that training
+    runs, so a bad value fails once at load time instead of in every cell.
+    """
 
     name: str
     alpha: float = 0.01
@@ -102,11 +107,23 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise ValueError(f"unknown method {self.name!r}; expected one of {METHOD_NAMES}")
+        self.baseline_config()
+        self.sigma_policy()
 
     def sigma_policy(self) -> SigmaPolicy:
         if self.sigma == "adaptive":
             return SigmaPolicy.adaptive(self.sigma_floor)
-        return SigmaPolicy.fixed(float(self.sigma), self.sigma_floor)
+        try:
+            sigma = float(self.sigma)
+        except (TypeError, ValueError):
+            raise ValueError(f"sigma must be a number or 'adaptive', got {self.sigma!r}") from None
+        return SigmaPolicy.fixed(sigma, self.sigma_floor)
+
+    def baseline_config(self) -> BaselineConfig:
+        """The hinge/logistic trainer settings of this entry."""
+        return BaselineConfig(
+            alpha=self.alpha, max_iters=self.iters, step_size=self.step_size, tol=self.tol
+        )
 
     def train_config(self, rep: Representation) -> TrainConfig:
         """The regmaxcem trainer settings of this entry on representation ``rep``."""
@@ -230,10 +247,8 @@ def train_method(method: MethodSpec, ds: Dataset, rep: Representation):
         return model
     if method.name == "square":
         return train_square(ds, rep, method.alpha)
-    config = BaselineConfig(
-        alpha=method.alpha, max_iters=method.iters, step_size=method.step_size, tol=method.tol
-    )
-    return (train_hinge if method.name == "hinge" else train_logistic)(ds, rep, config)
+    trainer = train_hinge if method.name == "hinge" else train_logistic
+    return trainer(ds, rep, method.baseline_config())
 
 
 def select_alpha_by_cv(

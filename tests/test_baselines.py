@@ -8,8 +8,11 @@ import pytest
 from correntia import (
     BaselineConfig,
     Dataset,
+    KernelSpec,
+    kernel_representation,
     label_indicator,
     linear_representation,
+    median_bandwidth,
     m_step,
     predict_labels,
     represent_matrix,
@@ -28,6 +31,55 @@ def hinge_objective(ds, model, alpha):
     indicator = label_indicator(ds.labels, ds.num_classes)
     loss = float(np.mean(np.maximum(0.0, 1.0 - scores * indicator)))
     return loss + alpha / ds.num_classes * float(np.sum(model.weights**2))
+
+
+def per_class_hinge(ds, rep, cfg):
+    """Reference: the hinge subgradient loop run one class at a time."""
+    represented = represent_matrix(ds.features, rep)
+    indicator = label_indicator(ds.labels, ds.num_classes)
+    n, dim = represented.shape
+    alpha = cfg.alpha
+
+    def value(margins_comp, w):
+        return float(np.sum(np.maximum(margins_comp, 0.0))) / n + alpha * float(w @ w)
+
+    weights = np.empty((ds.num_classes, dim))
+    biases = np.empty(ds.num_classes)
+    for l in range(ds.num_classes):
+        y = indicator[l]
+        w = np.zeros(dim)
+        b = 0.0
+        margins_comp = 1.0 - y * (represented @ w + b)
+        best = value(margins_comp, w)
+        best_w, best_b = w.copy(), b
+        for t in range(1, cfg.max_iters + 1):
+            active = margins_comp > 0.0
+            grad_w = -(y[active] @ represented[active]) / n + 2.0 * alpha * w
+            grad_b = -float(np.sum(y[active])) / n
+            step = cfg.step_size / np.sqrt(t)
+            w = w - step * grad_w
+            b = b - step * grad_b
+            with np.errstate(over="ignore", invalid="ignore"):
+                margins_comp = 1.0 - y * (represented @ w + b)
+                current = value(margins_comp, w)
+            if not np.isfinite(current):
+                raise FloatingPointError(f"class {l + 1}: hinge objective became non-finite")
+            if current < best:
+                best, best_w, best_b = current, w.copy(), b
+        weights[l] = best_w
+        biases[l] = best_b
+    return weights, biases
+
+
+def noisy_blobs(num_classes, per_class, dim, seed):
+    rng = np.random.default_rng(seed)
+    means = 2.0 * rng.standard_normal((num_classes, dim))
+    features = np.vstack([m + rng.standard_normal((per_class, dim)) for m in means])
+    labels = np.repeat(np.arange(1, num_classes + 1), per_class)
+    flip = rng.random(labels.size) < 0.3
+    labels[flip] = rng.integers(1, num_classes + 1, int(flip.sum()))
+    labels[:num_classes] = np.arange(1, num_classes + 1)
+    return tiny_dataset(features, labels, num_classes)
 
 
 def logistic_objective(ds, model, alpha):
@@ -121,6 +173,61 @@ class TestTrainHinge:
                 0.05,
             )
             assert hinge_objective(ds, model, 0.05) <= zero + 1e-12
+
+
+class TestHingeMatchesPerClassLoop:
+    """The class-stepped trainer against the one-class-at-a-time reference."""
+
+    def assert_matches_reference(self, ds, rep, cfg):
+        weights, biases = per_class_hinge(ds, rep, cfg)
+        model = train_hinge(ds, rep, cfg)
+        np.testing.assert_allclose(model.weights, weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.biases, biases, rtol=0, atol=1e-12)
+        reference = model.__class__(weights, biases, rep, 1.0, model.class_map)
+        np.testing.assert_array_equal(
+            predict_labels(model, ds.features), predict_labels(reference, ds.features)
+        )
+        return weights, biases
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 4])
+    def test_linear(self, num_classes):
+        ds = noisy_blobs(num_classes, 30, 5, seed=num_classes)
+        self.assert_matches_reference(ds, linear_representation(), BaselineConfig(max_iters=300))
+
+    def test_rbf_kernel(self):
+        ds = noisy_blobs(3, 25, 2, seed=9)
+        spec = KernelSpec("rbf", median_bandwidth(ds.features))
+        rep = kernel_representation(ds.features, spec)
+        self.assert_matches_reference(ds, rep, BaselineConfig(alpha=0.05, max_iters=200))
+
+    def test_best_iterate_is_chosen_per_class(self):
+        # oversized steps: some classes never beat their zero start, others do
+        rng = np.random.default_rng(0)
+        labels = rng.integers(1, 4, 12)
+        labels[:3] = [1, 2, 3]
+        ds = tiny_dataset(rng.standard_normal((12, 2)), labels, 3)
+        cfg = BaselineConfig(alpha=0.05, max_iters=10, step_size=20.0)
+        weights, biases = self.assert_matches_reference(ds, linear_representation(), cfg)
+        at_zero = [not weights[l].any() and biases[l] == 0.0 for l in range(3)]
+        assert any(at_zero) and not all(at_zero)
+
+    def test_a_tie_keeps_the_earlier_iterate(self):
+        # one step of 6 moves each bias by 3 and leaves every mean hinge at
+        # exactly 1, the zero start's value: strict "<" keeps the zero start
+        ds = tiny_dataset(np.zeros((4, 1)), [1, 2, 2, 2], 2)
+        cfg = BaselineConfig(alpha=0.0, max_iters=1, step_size=6.0)
+        weights, biases = self.assert_matches_reference(ds, linear_representation(), cfg)
+        assert not weights.any() and not biases.any()
+
+    def test_non_finite_error_names_the_diverging_class(self):
+        # class 1's subgradient is zero at the start, so it never leaves it;
+        # class 2 moves, and the penalty step overshoots it to infinity
+        ds = tiny_dataset([[1.0], [-1.0], [2.0], [-2.0]], [1, 1, 2, 3], 3)
+        cfg = BaselineConfig(alpha=1e6, max_iters=500, step_size=10.0)
+        with pytest.raises(FloatingPointError, match="class 2: "):
+            per_class_hinge(ds, linear_representation(), cfg)
+        with pytest.raises(FloatingPointError, match=r"class 2: hinge objective became non-finite"):
+            train_hinge(ds, linear_representation(), cfg)
 
 
 class TestTrainLogistic:

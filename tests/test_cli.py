@@ -317,6 +317,26 @@ class TestExperiment:
         assert capsys.readouterr().err == "error: positive_class 3 out of range 1..2\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("alpha", -1, "alpha must be >= 0, got -1"),
+            ("iters", 0, "max_iters must be >= 1, got 0"),
+            ("step_size", 0, "step_size must be > 0, got 0"),
+            ("tol", -1, "tol must be >= 0, got -1"),
+            ("sigma", 0, "fixed sigma must be > 0, got 0.0"),
+            ("sigma", "x", "sigma must be a number or 'adaptive', got 'x'"),
+        ],
+    )
+    def test_bad_hyperparameter_fails_at_load(self, tmp_path, capsys, field, value, message):
+        config = self._config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["methods"] = [{"name": "hinge", field: value}, {"name": "square"}]
+        config.write_text(json.dumps(raw))
+        assert run_cli(["experiment", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_results(self, tmp_path):
         config = self._config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

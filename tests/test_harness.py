@@ -9,6 +9,7 @@ import pytest
 
 from correntia import harness, regmaxcem
 from correntia import (
+    BaselineConfig,
     ExperimentConfig,
     MethodSpec,
     ProtocolSpec,
@@ -279,6 +280,33 @@ class TestMethodSpec:
             sigma_policy=SigmaPolicy.fixed(0.5, 1e-6),
             representation=rep,
         )
+
+    def test_baseline_config(self):
+        method = MethodSpec("hinge", alpha=0.3, iters=7, tol=1e-3, step_size=0.2)
+        assert method.baseline_config() == BaselineConfig(
+            alpha=0.3, max_iters=7, step_size=0.2, tol=1e-3
+        )
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"alpha": -1.0}, "alpha must be >= 0"),
+            ({"iters": 0}, "max_iters must be >= 1"),
+            ({"step_size": 0.0}, "step_size must be > 0"),
+            ({"tol": -1.0}, "tol must be >= 0"),
+            ({"sigma": 0.0}, "fixed sigma must be > 0"),
+            ({"sigma": "x"}, "sigma must be a number or 'adaptive'"),
+            ({"sigma": None}, "sigma must be a number or 'adaptive'"),
+            ({"sigma_floor": 0.0}, "sigma floor must be > 0"),
+        ],
+    )
+    def test_bad_hyperparameters_raise_when_built(self, overrides, message):
+        # checked for every method, including those that do not use the value
+        with pytest.raises(ValueError, match=message):
+            MethodSpec("square", **overrides)
+
+    def test_numeric_string_sigma_still_loads(self):
+        assert MethodSpec("regmaxcem", sigma="0.5").sigma_policy() == SigmaPolicy.fixed(0.5)
 
 
 class TestConfigIO:
