@@ -1,9 +1,10 @@
 """The evaluation toolbox: ROC/PR sweeps, AUC as a ranking probability, t-tests.
 
-Everything here is computed from first principles: threshold sweeps with
-tied scores grouped, trapezoid areas, and a Student-t tail built on the
-regularized incomplete beta function.  The demo cross-checks the AUC
-against the brute-force pairwise ranking count to show they coincide.
+The curves and statistics are computed from first principles: threshold
+sweeps with tied scores grouped, trapezoid areas, and the paired t
+statistic, whose Student-t tail is the regularized incomplete beta
+function from scipy.  The demo cross-checks the AUC against the
+brute-force pairwise ranking count to show they coincide.
 
 Run:  python demos/04_metrics_from_scratch.py
 """

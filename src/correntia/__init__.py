@@ -3,8 +3,9 @@
 Linear and kernel predictors trained by alternating half-quadratic
 updates of a regularized correntropy objective, square/hinge/logistic
 baselines on the same representation pipeline, from-scratch evaluation
-metrics (ROC, PR, AUC, paired t-test), and a deterministic experiment
-harness for label-noise robustness studies.
+metrics (ROC, PR, AUC and the paired t statistic; the Student-t tail
+comes from ``scipy.special``), and a deterministic experiment harness for
+label-noise robustness studies.
 """
 
 from .baselines import BaselineConfig, train_hinge, train_logistic, train_square
@@ -75,4 +76,4 @@ from .regmaxcem import (
 )
 from .seeding import child_seed, make_rng
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

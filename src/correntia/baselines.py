@@ -39,13 +39,13 @@ class BaselineConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 

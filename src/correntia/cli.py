@@ -8,7 +8,7 @@ use ``.`` decimals and LF line endings.
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .harness import (
     train_method,
     write_curve,
 )
-from .regmaxcem import load_model, save_model, score_matrix, train
+from .regmaxcem import TraceRecord, load_model, save_model, score_matrix, train
 
 __all__ = ["main"]
 
@@ -56,13 +56,14 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--representation", default="linear", choices=("linear", "kernel"))
     t.add_argument("--kernel", default="rbf", choices=("linear", "rbf"))
     t.add_argument("--bandwidth", default="median", type=_bandwidth_arg)
-    t.add_argument("--alpha", default=0.01, type=_alpha_arg,
+    # hyperparameter flags default to MethodSpec's own defaults: only given flags reach it
+    t.add_argument("--alpha", default=argparse.SUPPRESS, type=_alpha_arg,
                    help="tradeoff parameter, or 'grid' for inner-CV selection over 1e-4..1")
-    t.add_argument("--iters", default=20, type=int)
-    t.add_argument("--tol", default=1e-6, type=float)
-    t.add_argument("--step-size", default=1.0, type=float)
-    t.add_argument("--sigma", default="adaptive", type=_sigma_arg)
-    t.add_argument("--sigma-floor", default=1e-8, type=float)
+    t.add_argument("--iters", default=argparse.SUPPRESS, type=int)
+    t.add_argument("--tol", default=argparse.SUPPRESS, type=float)
+    t.add_argument("--step-size", default=argparse.SUPPRESS, type=float)
+    t.add_argument("--sigma", default=argparse.SUPPRESS, type=_sigma_arg)
+    t.add_argument("--sigma-floor", default=argparse.SUPPRESS, type=float)
     t.add_argument("--trace-out", default=None,
                    help="write per-round objective/sigma/param-change CSV (regmaxcem only)")
 
@@ -98,16 +99,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_train(args) -> int:
     ds = load_csv(args.data, args.label_col)
     rep = build_representation(ds.features, args.representation, args.kernel, args.bandwidth)
-    method = MethodSpec(
-        name=args.method,
-        alpha=0.01 if args.alpha == "grid" else args.alpha,
-        iters=args.iters,
-        tol=args.tol,
-        step_size=args.step_size,
-        sigma=args.sigma,
-        sigma_floor=args.sigma_floor,
-    )
-    if args.alpha == "grid":
+    given = {f.name: vars(args)[f.name] for f in fields(MethodSpec) if f.name in vars(args)}
+    grid = given.get("alpha") == "grid"
+    if grid:
+        del given["alpha"]
+    method = MethodSpec(name=args.method, **given)
+    if grid:
         selected = select_alpha_by_cv(
             method, ds, args.representation, args.kernel, args.bandwidth
         )
@@ -115,13 +112,12 @@ def _cmd_train(args) -> int:
         print(f"alpha selected by inner cross-validation: {selected!r}")
     if args.method == "regmaxcem" and args.trace_out:
         model, trace = train(ds, replace(method.train_config(rep), trace=True))
+        columns = [f.name for f in fields(TraceRecord)]
         with open(args.trace_out, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["iteration", "objective", "sigma", "max_param_change"])
+            writer.writerow(["iteration", *columns])
             for i, record in enumerate(trace.records, start=1):
-                writer.writerow(
-                    [i, repr(record.objective), repr(record.sigma), repr(record.max_param_change)]
-                )
+                writer.writerow([i, *(repr(getattr(record, c)) for c in columns)])
     else:
         model = train_method(method, ds, rep)
     save_model(model, args.model_out)

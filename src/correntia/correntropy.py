@@ -39,9 +39,9 @@ class SigmaPolicy:
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
             raise ValueError(f"unknown sigma mode {self.mode!r}")
-        if self.mode == "fixed" and (self.sigma is None or self.sigma <= 0):
+        if self.mode == "fixed" and (self.sigma is None or not self.sigma > 0):
             raise ValueError(f"fixed sigma must be > 0, got {self.sigma}")
-        if self.floor <= 0:
+        if not self.floor > 0:
             raise ValueError(f"sigma floor must be > 0, got {self.floor}")
 
     @classmethod
@@ -58,7 +58,7 @@ def g_sigma(x, sigma: float):
 
     Accepts scalars or arrays and evaluates elementwise.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     return np.exp(-np.square(x) / (2.0 * sigma * sigma))
 

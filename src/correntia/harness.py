@@ -16,7 +16,8 @@ config regardless of how cells would be scheduled.
 
 import csv
 import json
-from dataclasses import asdict, dataclass, replace
+import numbers
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -87,13 +88,20 @@ class SyntheticSpec:
         object.__setattr__(self, "means", means)
 
 
+def _is_number(value, kind) -> bool:
+    """True for an instance of the ``numbers`` ABC ``kind`` that is not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """One classifier entry of an experiment: a method name plus hyperparameters.
 
-    Every hyperparameter is checked when the entry is built, by the same
-    :class:`BaselineConfig` and :class:`SigmaPolicy` checks that training
-    runs, so a bad value fails once at load time instead of in every cell.
+    Every hyperparameter is checked when the entry is built: its type here
+    (a bool, a non-number or a non-integer ``iters`` is rejected by field
+    name), its range by the same :class:`BaselineConfig` and
+    :class:`SigmaPolicy` checks that training runs.  A bad value thus fails
+    once at load time instead of in every cell.
     """
 
     name: str
@@ -107,6 +115,12 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise ValueError(f"unknown method {self.name!r}; expected one of {METHOD_NAMES}")
+        if not _is_number(self.iters, numbers.Integral):
+            raise ValueError(f"iters must be an integer, got {self.iters!r}")
+        for field in ("alpha", "tol", "step_size", "sigma_floor"):
+            value = getattr(self, field)
+            if not _is_number(value, numbers.Real):
+                raise ValueError(f"{field} must be a number, got {value!r}")
         self.baseline_config()
         self.sigma_policy()
 
@@ -116,7 +130,9 @@ class MethodSpec:
         try:
             sigma = float(self.sigma)
         except (TypeError, ValueError):
-            raise ValueError(f"sigma must be a number or 'adaptive', got {self.sigma!r}") from None
+            sigma = None
+        if sigma is None or isinstance(self.sigma, bool):
+            raise ValueError(f"sigma must be a number or 'adaptive', got {self.sigma!r}")
         return SigmaPolicy.fixed(sigma, self.sigma_floor)
 
     def baseline_config(self) -> BaselineConfig:
@@ -412,22 +428,10 @@ def emit_reports(reports: list[EvalReport], out_dir) -> list[str]:
     summary = {
         "reports": [
             {
-                "method": r.method,
-                "noise_rate": r.noise_rate,
+                **{f.name: getattr(r, f.name) for f in fields(r) if f.name not in ("roc", "pr")},
                 # a method whose every cell failed has no accuracy, not NaN
                 "accuracy": None if np.isnan(r.accuracy) else r.accuracy,
-                "per_split_accuracies": list(r.per_split_accuracies),
-                "auc": r.auc,
-                "ttests": [
-                    {
-                        "other": t.other,
-                        "statistic": t.statistic,
-                        "p_value": t.p_value,
-                        "degenerate": t.degenerate,
-                    }
-                    for t in r.ttests
-                ],
-                "errors": list(r.errors),
+                "ttests": [asdict(t) for t in r.ttests],
             }
             for r in reports
         ]

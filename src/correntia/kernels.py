@@ -35,7 +35,7 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
         if self.kind == "rbf":
-            if self.bandwidth is None or self.bandwidth <= 0:
+            if self.bandwidth is None or not self.bandwidth > 0:
                 raise ValueError(f"rbf kernel needs bandwidth > 0, got {self.bandwidth}")
 
 

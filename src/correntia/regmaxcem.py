@@ -130,11 +130,11 @@ class TrainConfig:
     trace: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
@@ -226,7 +226,7 @@ def m_step(aux: AuxMatrix, represented: np.ndarray, indicator: np.ndarray, alpha
         raise ValueError(f"aux shape {aux.shape} does not match indicator shape {indicator.shape}")
     if represented.shape[1] != n:
         raise ValueError(f"represented has {represented.shape[1]} columns, expected {n}")
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     dim = represented.shape[0]
 

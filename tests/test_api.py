@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,12 @@ import correntia
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(correntia.__path__) if info.name != "__main__"
 )
+
+
+def test_version_matches_pyproject():
+    # a regex, not tomllib: the package supports Python 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert correntia.__version__ == re.search(r'^version = "([^"]+)"', text, re.M).group(1)
 
 
 def test_every_module_is_covered():

@@ -120,6 +120,8 @@ class TestTrainSquare:
         ds = tiny_dataset([[1.0], [-1.0]], [1, 2], 2)
         with pytest.raises(ValueError, match="alpha must be >= 0, got -1.0"):
             train_square(ds, linear_representation(), -1.0)
+        with pytest.raises(ValueError, match="alpha must be >= 0, got nan"):
+            train_square(ds, linear_representation(), math.nan)
 
 
 class TestTrainHinge:
@@ -299,3 +301,5 @@ class TestBaselineConfig:
     def test_nonpositive_step_size(self):
         with pytest.raises(ValueError, match="step_size"):
             BaselineConfig(step_size=0.0)
+        with pytest.raises(ValueError, match="step_size"):
+            BaselineConfig(step_size=math.nan)

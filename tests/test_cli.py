@@ -224,6 +224,22 @@ class TestErrors:
         assert capsys.readouterr().err == "error: alpha must be >= 0, got -1.0\n"
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--alpha", "nan"], "alpha must be >= 0, got nan"),
+            (["--sigma", "nan"], "fixed sigma must be > 0, got nan"),
+            (["--representation", "kernel", "--bandwidth", "nan"],
+             "rbf kernel needs bandwidth > 0, got nan"),
+        ],
+    )
+    def test_nan_hyperparameter_is_one_line_error(self, tmp_path, blob_csv, flags, message, capsys):
+        code = run_cli(["train", "--data", blob_csv, "--label-col", "label", "--method",
+                        "regmaxcem", "--model-out", tmp_path / "m.json", *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.fixture
     def square_model(self, tmp_path, blob_csv):
         path = tmp_path / "m.json"
@@ -326,6 +342,14 @@ class TestExperiment:
             ("tol", -1, "tol must be >= 0, got -1"),
             ("sigma", 0, "fixed sigma must be > 0, got 0.0"),
             ("sigma", "x", "sigma must be a number or 'adaptive', got 'x'"),
+            ("alpha", float("nan"), "alpha must be >= 0, got nan"),
+            ("tol", float("nan"), "tol must be >= 0, got nan"),
+            ("step_size", float("nan"), "step_size must be > 0, got nan"),
+            ("sigma", float("nan"), "fixed sigma must be > 0, got nan"),
+            ("sigma_floor", float("nan"), "sigma floor must be > 0, got nan"),
+            ("alpha", "x", "alpha must be a number, got 'x'"),
+            ("iters", "5", "iters must be an integer, got '5'"),
+            ("iters", 2.5, "iters must be an integer, got 2.5"),
         ],
     )
     def test_bad_hyperparameter_fails_at_load(self, tmp_path, capsys, field, value, message):
@@ -335,6 +359,15 @@ class TestExperiment:
         config.write_text(json.dumps(raw))
         assert run_cli(["experiment", "--config", config, "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_bandwidth_fails_before_training(self, tmp_path, capsys):
+        config = self._config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["representation"] = {"mode": "kernel", "bandwidth": float("nan")}
+        config.write_text(json.dumps(raw))
+        assert run_cli(["experiment", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == "error: rbf kernel needs bandwidth > 0, got nan\n"
         assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_results(self, tmp_path):
@@ -351,6 +384,18 @@ class TestModuleEntryPoint:
         assert result.returncode == 0
         for sub in ("train", "predict", "eval", "experiment", "synth"):
             assert sub in result.stdout
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(tmp_path, demo):
+    # run a copy: demos that write files write them next to themselves
+    copy = tmp_path / demo.name
+    copy.write_bytes(demo.read_bytes())
+    result = run_python([copy])
+    assert result.returncode == 0, result.stderr
 
 
 STARTUP_PROBE = """

@@ -35,6 +35,8 @@ class TestGSigma:
             g_sigma(1.0, 0.0)
         with pytest.raises(ValueError):
             g_sigma(1.0, -2.0)
+        with pytest.raises(ValueError):
+            g_sigma(1.0, math.nan)
 
     @given(finite_floats, st.floats(min_value=2.0, max_value=20))
     def test_bounded_in_unit_interval(self, x, sigma):
@@ -140,10 +142,14 @@ class TestSigmaPolicy:
     def test_fixed_requires_positive_sigma(self):
         with pytest.raises(ValueError):
             SigmaPolicy.fixed(0.0)
+        with pytest.raises(ValueError):
+            SigmaPolicy.fixed(math.nan)
 
     def test_adaptive_floor_validation(self):
         with pytest.raises(ValueError):
             SigmaPolicy.adaptive(floor=0.0)
+        with pytest.raises(ValueError):
+            SigmaPolicy.adaptive(floor=math.nan)
 
     def test_constructors(self):
         assert SigmaPolicy.fixed(2.0).mode == "fixed"

@@ -298,6 +298,20 @@ class TestMethodSpec:
             ({"sigma": "x"}, "sigma must be a number or 'adaptive'"),
             ({"sigma": None}, "sigma must be a number or 'adaptive'"),
             ({"sigma_floor": 0.0}, "sigma floor must be > 0"),
+            ({"alpha": float("nan")}, "alpha must be >= 0, got nan"),
+            ({"tol": float("nan")}, "tol must be >= 0, got nan"),
+            ({"step_size": float("nan")}, "step_size must be > 0, got nan"),
+            ({"sigma": float("nan")}, "fixed sigma must be > 0, got nan"),
+            ({"sigma_floor": float("nan")}, "sigma floor must be > 0, got nan"),
+            ({"alpha": "0.1"}, "alpha must be a number, got '0.1'"),
+            ({"alpha": True}, "alpha must be a number, got True"),
+            ({"tol": None}, "tol must be a number, got None"),
+            ({"step_size": [1.0]}, r"step_size must be a number, got \[1.0\]"),
+            ({"sigma_floor": "x"}, "sigma_floor must be a number, got 'x'"),
+            ({"iters": "5"}, "iters must be an integer, got '5'"),
+            ({"iters": 2.5}, "iters must be an integer, got 2.5"),
+            ({"iters": True}, "iters must be an integer, got True"),
+            ({"sigma": True}, "sigma must be a number or 'adaptive', got True"),
         ],
     )
     def test_bad_hyperparameters_raise_when_built(self, overrides, message):

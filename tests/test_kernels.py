@@ -35,6 +35,8 @@ class TestKernelEval:
         with pytest.raises(ValueError, match="bandwidth"):
             KernelSpec("rbf", 0.0)
         with pytest.raises(ValueError, match="bandwidth"):
+            KernelSpec("rbf", math.nan)
+        with pytest.raises(ValueError, match="bandwidth"):
             KernelSpec("rbf")
 
 

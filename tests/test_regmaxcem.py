@@ -321,6 +321,16 @@ class TestMStep:
         with pytest.raises(FloatingPointError, match="class 1.*larger alpha"):
             train(ds, TrainConfig(alpha=1e-20))
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [("alpha", "alpha must be >= 0"), ("max_iters", "max_iters must be >= 1"),
+         ("tol", "tol must be >= 0")],
+    )
+    def test_nan_config_value_rejected(self, field, message):
+        # NaN fails every comparison, so each check must be written to fail on it
+        with pytest.raises(ValueError, match=f"{message}, got nan"):
+            TrainConfig(**{field: math.nan})
+
 
 def two_blob_dataset(seed=0, n_per_class=30, gap=4.0):
     rng = np.random.default_rng(seed)
