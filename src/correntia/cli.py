@@ -32,20 +32,31 @@ from .regmaxcem import TraceRecord, load_model, save_model, score_matrix, train
 __all__ = ["main"]
 
 
-def _bandwidth_arg(text: str):
-    return "median" if text == "median" else float(text)
+def _number_or(word: str):
+    """Argument type: a float, or the literal ``word``."""
+
+    def parse(text: str):
+        if text == word:
+            return word
+        try:
+            return float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a number or {word!r}, got {text!r}"
+            ) from None
+
+    return parse
 
 
-def _sigma_arg(text: str):
-    return "adaptive" if text == "adaptive" else float(text)
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises on a usage error, so ``main`` reports it as one ``error:`` line."""
 
-
-def _alpha_arg(text: str):
-    return "grid" if text == "grid" else float(text)
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="correntia", description=__doc__)
+    parser = _ArgumentParser(prog="correntia", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train one method on a CSV dataset")
@@ -55,14 +66,14 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--model-out", required=True)
     t.add_argument("--representation", default="linear", choices=("linear", "kernel"))
     t.add_argument("--kernel", default="rbf", choices=("linear", "rbf"))
-    t.add_argument("--bandwidth", default="median", type=_bandwidth_arg)
+    t.add_argument("--bandwidth", default="median", type=_number_or("median"))
     # hyperparameter flags default to MethodSpec's own defaults: only given flags reach it
-    t.add_argument("--alpha", default=argparse.SUPPRESS, type=_alpha_arg,
+    t.add_argument("--alpha", default=argparse.SUPPRESS, type=_number_or("grid"),
                    help="tradeoff parameter, or 'grid' for inner-CV selection over 1e-4..1")
     t.add_argument("--iters", default=argparse.SUPPRESS, type=int)
     t.add_argument("--tol", default=argparse.SUPPRESS, type=float)
     t.add_argument("--step-size", default=argparse.SUPPRESS, type=float)
-    t.add_argument("--sigma", default=argparse.SUPPRESS, type=_sigma_arg)
+    t.add_argument("--sigma", default=argparse.SUPPRESS, type=_number_or("adaptive"))
     t.add_argument("--sigma-floor", default=argparse.SUPPRESS, type=float)
     t.add_argument("--trace-out", default=None,
                    help="write per-round objective/sigma/param-change CSV (regmaxcem only)")
@@ -235,9 +246,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except Exception as exc:
         message = str(exc).replace("\n", " ")

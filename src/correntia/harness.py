@@ -81,7 +81,7 @@ class SyntheticSpec:
             raise ValueError("means must be a nonempty list of equal-length vectors")
         if len(set(means)) != len(means):
             raise ValueError("class means must be pairwise distinct")
-        if self.std <= 0:
+        if not self.std > 0:
             raise ValueError(f"std must be > 0, got {self.std}")
         if self.samples_per_class < 1:
             raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class}")

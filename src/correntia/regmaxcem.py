@@ -23,10 +23,18 @@ it coincide with the closed-form square-loss baseline.
 
 Training is deterministic: the per-class ridge solves are independent and
 run one after another, and reruns with the same BLAS thread count give
-identical models.  The linear algebra inside each solve uses the BLAS
-library's threads (``OPENBLAS_NUM_THREADS``); a different thread count can
-move the last bits of the parameters (about 1e-13 on a 660-anchor kernel
-model).
+identical models.  Every matrix product of training and scoring large
+enough for BLAS to thread runs on the BLAS that scipy links (``dgemm``,
+``dgemv``, ``dsyrk``, the Cholesky factor and solve), not through numpy's
+``@``; only per-class dot products and the ``alpha = 0`` least-squares
+solve stay on numpy.  The numpy and scipy wheels each bundle their own
+OpenBLAS, each with its own thread pool, and OpenBLAS workers keep
+spinning for a while after a call: switching libraries within a round
+left one pool's idle workers taking the CPUs from the other's busy ones,
+which made kernel training at two threads about twice as slow as at one.
+Each product still uses the BLAS threads (``OPENBLAS_NUM_THREADS``), and a
+different thread count can move the last bits of the parameters (a few
+1e-12 on a 660-anchor kernel model).
 Trained models are immutable and safe to share across threads.
 """
 
@@ -38,7 +46,7 @@ import numpy as np
 # Kept at module level: deferred into m_step, its ~0.25 s import would land
 # inside the first train() call instead of at `import correntia`.
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dgemm, dgemv, dsyrk
 
 from .correntropy import SigmaPolicy, g_sigma, objective, sigma_heuristic
 from .dataset import Dataset, label_indicator
@@ -236,7 +244,9 @@ def m_step(aux: AuxMatrix, represented: np.ndarray, indicator: np.ndarray, alpha
     if degenerate.size:
         raise DegenerateClassError(int(degenerate[0]) + 1)
     totals = u_sq.sum(axis=1)
-    x_means = (represented @ u_sq.T) / totals  # D' x L
+    # Built C-ordered (D' x L): the bias dot below then reads its columns with
+    # a stride, and a contiguous read would round the biases differently.
+    x_means = dgemm(1.0, u_sq.T, represented, trans_a=1, trans_b=1).T / totals
     # Row-wise dot products as a batched matmul round like a per-row dot;
     # the near-tied biases of a collapsed model depend on those last bits.
     y_means = (indicator[:, None, :] @ u_sq[:, :, None]).ravel() / totals
@@ -247,7 +257,7 @@ def m_step(aux: AuxMatrix, represented: np.ndarray, indicator: np.ndarray, alpha
     for l in range(num_classes):
         scaled = represented - x_means[:, l, None]
         scaled *= u[l]
-        rhs = scaled @ (u[l] * (indicator[l] - y_means[l]))
+        rhs = dgemv(1.0, scaled, u[l] * (indicator[l] - y_means[l]))
         system = dsyrk(1.0, scaled, lower=1)  # scaled @ scaled.T, lower triangle only
         if alpha > 0:
             system[diagonal] += alpha
@@ -298,7 +308,8 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[Model, TrainTrace]:
                 "non-finite parameters in the weight update; "
                 "alpha is likely too small for near-singular data"
             )
-        scores = weights @ represented + biases[:, None]
+        # weights @ represented, as the transpose of an F-ordered N x L product
+        scores = dgemm(1.0, represented, weights.T, trans_a=1).T + biases[:, None]
         if policy.mode == "adaptive":
             sigma = sigma_heuristic(scores, indicator, policy.floor)
         aux = e_step(scores, indicator, sigma)
@@ -338,7 +349,10 @@ def score_matrix(model: Model, X) -> np.ndarray:
             f"represented dimension {Z.shape[1]} does not match model dimension "
             f"{model.weights.shape[1]}"
         )
-    scores = Z @ model.weights.T + model.biases
+    if Z.shape[0] == 1:  # by gemv, so that a lone sample rounds as ``z @ W.T`` does
+        scores = dgemv(1.0, model.weights.T, Z[0], trans=1)[None, :] + model.biases
+    else:
+        scores = dgemm(1.0, model.weights.T, Z.T, trans_a=1).T + model.biases
     finite = np.isfinite(scores)
     if not finite.all():
         row = int(np.flatnonzero(~finite.all(axis=1))[0])

@@ -240,6 +240,34 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--iters", "2.5"], "correntia train: argument --iters: invalid int value: '2.5'"),
+            (["--alpha", "x"],
+             "correntia train: argument --alpha: expected a number or 'grid', got 'x'"),
+            (["--tol", "abc"], "correntia train: argument --tol: invalid float value: 'abc'"),
+            (None, "correntia: argument command: invalid choice: 'frobnicate'"),
+        ],
+    )
+    def test_usage_error_is_one_line_error(self, tmp_path, argv, message, capsys):
+        if argv is None:
+            argv = ["frobnicate"]
+        else:
+            argv = ["train", "--data", tmp_path / "d.csv", "--label-col", "label",
+                    "--method", "square", "--model-out", tmp_path / "m.json", *argv]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_subcommand_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["train", "--help"])
+        assert info.value.code == 0
+        assert "--iters" in capsys.readouterr().out
+
     @pytest.fixture
     def square_model(self, tmp_path, blob_csv):
         path = tmp_path / "m.json"
@@ -368,6 +396,15 @@ class TestExperiment:
         config.write_text(json.dumps(raw))
         assert run_cli(["experiment", "--config", config, "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err == "error: rbf kernel needs bandwidth > 0, got nan\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_std_fails_at_load(self, tmp_path, capsys):
+        config = self._config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["synthetic"]["std"] = float("nan")
+        config.write_text(json.dumps(raw))
+        assert run_cli(["experiment", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == "error: std must be > 0, got nan\n"
         assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_results(self, tmp_path):

@@ -92,6 +92,8 @@ class TestGenerateSynthetic:
             SyntheticSpec(((1.0,), (1.0,)), 1.0, 5, seed=0)
         with pytest.raises(ValueError, match="std"):
             SyntheticSpec(((1.0,), (2.0,)), 0.0, 5, seed=0)
+        with pytest.raises(ValueError, match="std must be > 0, got nan"):
+            SyntheticSpec(((1.0,), (2.0,)), math.nan, 5, seed=0)
 
 
 class TestRunExperiment:

@@ -28,6 +28,7 @@ from correntia import (
     train,
     train_square,
 )
+from correntia import regmaxcem
 
 
 def linear_model(weights, biases, class_map=None):
@@ -112,6 +113,47 @@ class TestPredict:
         model = Model(np.ones((2, 3)), [0.5, -0.5], rep, 1.0, ("1", "2"))
         with pytest.raises(ValueError, match="row 0.*non-finite"):
             predict_labels(model, [[bad, 0.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "layout", ["c_order", "f_order", "column_slice", "one_sample", "no_rows"]
+    )
+    def test_scores_equal_matmul(self, layout):
+        rng = np.random.default_rng(2)
+        model = linear_model(rng.standard_normal((3, 5)), rng.standard_normal(3))
+        wide = rng.standard_normal((40, 10))
+        X = {
+            "c_order": np.ascontiguousarray(wide[:, :5]),
+            "f_order": np.asfortranarray(wide[:, :5]),
+            "column_slice": wide[:, ::2],
+            "one_sample": wide[0, :5],
+            "no_rows": np.empty((0, 5)),
+        }[layout]
+        scores = score_matrix(model, X)
+        expected = represent_matrix(X, model.representation) @ model.weights.T + model.biases
+        assert scores.shape == expected.shape == (np.atleast_2d(X).shape[0], 3)
+        assert scores.flags.c_contiguous
+        np.testing.assert_array_equal(scores, expected)
+
+    def test_kernel_scores_equal_matmul(self):
+        rng = np.random.default_rng(3)
+        anchors = rng.standard_normal((30, 2))
+        rep = kernel_representation(anchors, KernelSpec("rbf", 1.0))
+        model = Model(rng.standard_normal((3, 30)), rng.standard_normal(3), rep, 1.0, ("a", "b", "c"))
+        X = rng.standard_normal((12, 2))
+        scores = score_matrix(model, X)
+        expected = represent_matrix(X, rep) @ model.weights.T + model.biases
+        assert scores.shape == (12, 3)
+        assert scores.flags.c_contiguous
+        np.testing.assert_array_equal(scores, expected)
+
+    def test_scores_do_not_depend_on_memory_order(self):
+        # one layout reaches BLAS whatever the input's, so the rounding cannot follow it
+        rng = np.random.default_rng(4)
+        model = linear_model(rng.standard_normal((4, 60)), rng.standard_normal(4))
+        wide = rng.standard_normal((50, 120))
+        reference = score_matrix(model, np.ascontiguousarray(wide[:, ::2]))
+        for X in (wide[:, ::2], np.asfortranarray(wide[:, ::2])):
+            np.testing.assert_array_equal(score_matrix(model, X), reference)
 
 
 class TestEStep:
@@ -391,6 +433,25 @@ class TestTrain:
         model, trace = train(ds, TrainConfig(max_iters=10, trace=True))
         assert model.sigma_final == trace.records[-1].sigma
         assert all(r.sigma > 0 for r in trace.records)
+
+    def test_products_run_on_scipy_blas(self, monkeypatch):
+        # numpy and scipy each load their own BLAS; a product left on numpy's
+        # makes the two thread pools compete for the CPUs
+        counts = {"dgemm": 0, "dgemv": 0}
+        for name in counts:
+            real = getattr(regmaxcem, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(regmaxcem, name, counting)
+        ds = two_blob_dataset(seed=8)
+        model, _ = train(ds, TrainConfig(max_iters=3, tol=0.0))
+        # per round: class means and scores by dgemm, one right-hand side per class by dgemv
+        assert counts == {"dgemm": 6, "dgemv": 6}
+        score_matrix(model, ds.features)
+        assert counts == {"dgemm": 7, "dgemv": 6}
 
 
 class TestEvaluateObjective:
