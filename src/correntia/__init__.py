@@ -40,10 +40,12 @@ from .evaluation import (
     student_t_sf,
 )
 from .harness import (
+    DataSpec,
     EvalReport,
     ExperimentConfig,
     MethodSpec,
     ProtocolSpec,
+    RepresentationSpec,
     SyntheticSpec,
     TTestResult,
     emit_reports,
@@ -76,4 +78,4 @@ from .regmaxcem import (
 )
 from .seeding import child_seed, make_rng
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -9,16 +9,17 @@ import argparse
 import csv
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 
-from .dataset import load_csv, load_features
+from .dataset import Dataset, load_csv, load_features
 from .evaluation import accuracy, auc, multiclass_binary_scores, pr_curve, roc_curve
 from .harness import (
     METHOD_NAMES,
     MethodSpec,
+    RepresentationSpec,
     SyntheticSpec,
-    build_representation,
     emit_reports,
     generate_synthetic,
     load_config,
@@ -41,9 +42,7 @@ def _number_or(word: str):
         try:
             return float(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected a number or {word!r}, got {text!r}"
-            ) from None
+            raise argparse.ArgumentTypeError(f"expected a number or {word!r}, got {text!r}") from None
 
     return parse
 
@@ -109,16 +108,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_train(args) -> int:
     ds = load_csv(args.data, args.label_col)
-    rep = build_representation(ds.features, args.representation, args.kernel, args.bandwidth)
+    representation = RepresentationSpec(args.representation, args.kernel, args.bandwidth)
+    rep = representation.build(ds.features)
     given = {f.name: vars(args)[f.name] for f in fields(MethodSpec) if f.name in vars(args)}
     grid = given.get("alpha") == "grid"
     if grid:
         del given["alpha"]
     method = MethodSpec(name=args.method, **given)
     if grid:
-        selected = select_alpha_by_cv(
-            method, ds, args.representation, args.kernel, args.bandwidth
-        )
+        selected = select_alpha_by_cv(method, ds, representation)
         method = replace(method, alpha=selected)
         print(f"alpha selected by inner cross-validation: {selected!r}")
     if args.method == "regmaxcem" and args.trace_out:
@@ -170,8 +168,6 @@ def _align_to_model(ds, model):
     Label files list classes in their own first-appearance order; the model's
     class map is authoritative at evaluation time.
     """
-    from .dataset import Dataset
-
     if ds.label_names == model.class_map:
         return ds
     mapping = {}
@@ -196,8 +192,6 @@ def _cmd_eval(args) -> int:
         pr = pr_curve(column, truth)
         print(f"auc={auc(roc)!r}")
         if args.out_dir:
-            from pathlib import Path
-
             out = Path(args.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             write_curve(out / "roc.csv", roc)
@@ -222,10 +216,7 @@ def _cmd_synth(args) -> int:
     means = tuple(
         tuple(float(v) for v in chunk.split(",")) for chunk in args.means.split(";") if chunk
     )
-    spec = SyntheticSpec(
-        means=means, std=args.std, samples_per_class=args.per_class, seed=args.seed
-    )
-    ds = generate_synthetic(spec)
+    ds = generate_synthetic(SyntheticSpec(means, args.std, args.per_class, args.seed))
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         dim = ds.n_features

@@ -111,8 +111,6 @@ def roc_curve(scores, truth) -> list[CurvePoint]:
     points = [CurvePoint(0.0, 0.0, math.inf)]
     for thr, tp, fp in zip(thresholds, tp_cum, fp_cum):
         points.append(CurvePoint(float(fp / neg), float(tp / pos), float(thr)))
-    if points[-1].x != 1.0 or points[-1].y != 1.0:
-        points.append(CurvePoint(1.0, 1.0, -math.inf))
     return points
 
 

@@ -17,7 +17,8 @@ config regardless of how cells would be scheduled.
 import csv
 import json
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .evaluation import (
     roc_curve,
 )
 from .kernels import (
+    KERNEL_KINDS,
     KernelSpec,
     Representation,
     kernel_representation,
@@ -46,6 +48,8 @@ from .seeding import child_seed, make_rng
 
 __all__ = [
     "SyntheticSpec",
+    "DataSpec",
+    "RepresentationSpec",
     "MethodSpec",
     "ProtocolSpec",
     "TTestResult",
@@ -66,6 +70,21 @@ ALPHA_GRID = tuple(float(a) for a in np.logspace(-4, 0, 9))
 METHOD_NAMES = ("regmaxcem", "square", "hinge", "logistic")
 
 
+def _is_number(value, kind) -> bool:
+    """True for an instance of the ``numbers`` ABC ``kind`` that is not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_numbers(spec) -> None:
+    """Reject a bool or a non-number in every field of ``spec`` annotated ``int`` or ``float``."""
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if field.type is int and not _is_number(value, numbers.Integral):
+            raise ValueError(f"{field.name} must be an integer, got {value!r}")
+        if field.type is float and not _is_number(value, numbers.Real):
+            raise ValueError(f"{field.name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Gaussian-blob generator: one isotropic blob per class."""
@@ -76,6 +95,7 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
+        _check_numbers(self)
         means = tuple(tuple(float(v) for v in row) for row in self.means)
         if len(means) < 1 or len({len(row) for row in means}) != 1:
             raise ValueError("means must be a nonempty list of equal-length vectors")
@@ -88,18 +108,45 @@ class SyntheticSpec:
         object.__setattr__(self, "means", means)
 
 
-def _is_number(value, kind) -> bool:
-    """True for an instance of the ``numbers`` ABC ``kind`` that is not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+@dataclass(frozen=True)
+class DataSpec:
+    """A labeled CSV dataset: its path and the name of its label column."""
+
+    path: str
+    label_column: str
+
+    def __post_init__(self):
+        if not isinstance(self.path, str) or not isinstance(self.label_column, str):
+            raise ValueError(f"path and label_column must be strings, got {self!r}")
+
+
+@dataclass(frozen=True)
+class RepresentationSpec:
+    """How each training set is represented: ``linear``, or ``kernel`` with a kernel kind."""
+
+    mode: str = "linear"
+    kernel: str = "rbf"
+    bandwidth: float | str = "median"
+
+    def __post_init__(self):
+        if self.mode not in ("linear", "kernel"):
+            raise ValueError(f"unknown representation {self.mode!r}")
+        if self.kernel not in KERNEL_KINDS:
+            raise ValueError(f"unknown kernel kind {self.kernel!r}; expected one of {KERNEL_KINDS}")
+        if self.bandwidth != "median" and not _is_number(self.bandwidth, numbers.Real):
+            raise ValueError(f"bandwidth must be a number or 'median', got {self.bandwidth!r}")
+
+    def build(self, train_features: np.ndarray) -> Representation:
+        return build_representation(train_features, self.mode, self.kernel, self.bandwidth)
 
 
 @dataclass(frozen=True)
 class MethodSpec:
     """One classifier entry of an experiment: a method name plus hyperparameters.
 
-    Every hyperparameter is checked when the entry is built: its type here
-    (a bool, a non-number or a non-integer ``iters`` is rejected by field
-    name), its range by the same :class:`BaselineConfig` and
+    Every hyperparameter is checked when the entry is built: its type by its
+    annotation (a bool, a non-number or a non-integer ``iters`` is rejected
+    by field name), its range by the same :class:`BaselineConfig` and
     :class:`SigmaPolicy` checks that training runs.  A bad value thus fails
     once at load time instead of in every cell.
     """
@@ -115,12 +162,7 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise ValueError(f"unknown method {self.name!r}; expected one of {METHOD_NAMES}")
-        if not _is_number(self.iters, numbers.Integral):
-            raise ValueError(f"iters must be an integer, got {self.iters!r}")
-        for field in ("alpha", "tol", "step_size", "sigma_floor"):
-            value = getattr(self, field)
-            if not _is_number(value, numbers.Real):
-                raise ValueError(f"{field} must be a number, got {value!r}")
+        _check_numbers(self)
         self.baseline_config()
         self.sigma_policy()
 
@@ -162,6 +204,7 @@ class ProtocolSpec:
     k: int = 10
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.kind not in ("repeated-split", "kfold"):
             raise ValueError(f"unknown protocol {self.kind!r}")
         if self.kind == "repeated-split" and self.times < 1:
@@ -204,28 +247,25 @@ class ExperimentConfig:
 
     methods: tuple[MethodSpec, ...]
     protocol: ProtocolSpec
-    noise_rates: tuple[float, ...]
     seed: int
-    data_path: str | None = None
-    label_column: str | None = None
+    noise_rates: tuple[float, ...] = (0.0,)
+    data: DataSpec | None = None
     synthetic: SyntheticSpec | None = None
-    representation: str = "linear"
-    kernel: str = "rbf"
-    bandwidth: float | str = "median"
+    representation: RepresentationSpec = RepresentationSpec()
     positive_class: int = 1
 
     def __post_init__(self):
+        _check_numbers(self)
         if not self.methods:
             raise ValueError("method list must be nonempty")
-        if (self.data_path is None) == (self.synthetic is None):
-            raise ValueError("exactly one of data_path and synthetic must be given")
-        if self.data_path is not None and self.label_column is None:
-            raise ValueError("data_path requires label_column")
-        for rate in self.noise_rates:
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"noise rates must be in [0, 1], got {rate}")
-        if self.representation not in ("linear", "kernel"):
-            raise ValueError(f"unknown representation {self.representation!r}")
+        rates = self.noise_rates
+        if not (isinstance(rates, (list, tuple)) and rates and all(
+            _is_number(r, numbers.Real) and 0.0 <= r <= 1.0 for r in rates
+        )):
+            raise ValueError(f"noise_rates must be a nonempty list of rates in [0, 1], got {rates!r}")
+        object.__setattr__(self, "noise_rates", tuple(float(r) for r in rates))
+        if (self.data is None) == (self.synthetic is None):
+            raise ValueError("exactly one of data and synthetic must be given")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -250,10 +290,8 @@ def build_representation(
         return linear_representation()
     if kernel_kind == "rbf":
         width = median_bandwidth(train_features) if bandwidth == "median" else float(bandwidth)
-        spec = KernelSpec("rbf", width)
-    else:
-        spec = KernelSpec("linear")
-    return kernel_representation(train_features, spec)
+        return kernel_representation(train_features, KernelSpec("rbf", width))
+    return kernel_representation(train_features, KernelSpec(kernel_kind))
 
 
 def train_method(method: MethodSpec, ds: Dataset, rep: Representation):
@@ -270,9 +308,7 @@ def train_method(method: MethodSpec, ds: Dataset, rep: Representation):
 def select_alpha_by_cv(
     method: MethodSpec,
     ds: Dataset,
-    representation: str = "linear",
-    kernel: str = "rbf",
-    bandwidth: float | str = "median",
+    representation: RepresentationSpec = RepresentationSpec(),
     folds: int = 5,
     seed: int = 0,
     grid: tuple[float, ...] = ALPHA_GRID,
@@ -284,7 +320,7 @@ def select_alpha_by_cv(
     with the best mean accuracy; ties go to the smallest alpha.
     """
     pairs = kfold(ds, min(folds, ds.n_samples), child_seed(seed, 3))
-    reps = [build_representation(tr.features, representation, kernel, bandwidth) for tr, _ in pairs]
+    reps = [representation.build(tr.features) for tr, _ in pairs]
     best_alpha, best_score = None, -np.inf
     for alpha in grid:
         candidate = replace(method, alpha=float(alpha))
@@ -298,21 +334,6 @@ def select_alpha_by_cv(
     return best_alpha
 
 
-def _load_dataset(cfg: ExperimentConfig) -> Dataset:
-    if cfg.synthetic is not None:
-        return generate_synthetic(cfg.synthetic)
-    return load_csv(cfg.data_path, cfg.label_column)
-
-
-def _make_folds(ds: Dataset, cfg: ExperimentConfig):
-    if cfg.protocol.kind == "repeated-split":
-        return [
-            split(ds, SplitSpec(cfg.protocol.fraction, child_seed(cfg.seed, 1, s)))
-            for s in range(cfg.protocol.times)
-        ]
-    return kfold(ds, cfg.protocol.k, child_seed(cfg.seed, 1, 0))
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
     """Run the full sweep and return reports in config order.
 
@@ -322,14 +343,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
     ``ValueError`` before any training when ``positive_class`` is outside
     ``1..L`` or a split's representation cannot be built.
     """
-    ds = _load_dataset(cfg)
+    if cfg.data is None:
+        ds = generate_synthetic(cfg.synthetic)
+    else:
+        ds = load_csv(cfg.data.path, cfg.data.label_column)
     if not 1 <= cfg.positive_class <= ds.num_classes:
         raise ValueError(f"positive_class {cfg.positive_class} out of range 1..{ds.num_classes}")
-    folds = _make_folds(ds, cfg)
-    reps = [
-        build_representation(tr.features, cfg.representation, cfg.kernel, cfg.bandwidth)
-        for tr, _ in folds
-    ]
+    protocol = cfg.protocol
+    if protocol.kind == "kfold":
+        folds = kfold(ds, protocol.k, child_seed(cfg.seed, 1, 0))
+    else:
+        seeds = (child_seed(cfg.seed, 1, s) for s in range(protocol.times))
+        folds = [split(ds, SplitSpec(protocol.fraction, seed)) for seed in seeds]
+    reps = [cfg.representation.build(tr.features) for tr, _ in folds]
     # pristine test labels, used to assert noise never leaks into test data
     test_fingerprints = [test.labels.tobytes() for _, test in folds]
 
@@ -353,9 +379,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
                 except Exception as exc:  # cell isolation: record, keep sweeping
                     errors.append(f"method={method.name} noise={rate} split={s}: {exc}")
                 assert test.labels.tobytes() == test_fingerprints[s], "test labels were mutated"
-            roc_points: tuple[CurvePoint, ...] = ()
-            pr_points: tuple[CurvePoint, ...] = ()
-            area = None
+            roc_points, pr_points, area = (), (), None
             if pooled:
                 all_scores, all_truth = map(np.concatenate, zip(*pooled))
                 try:
@@ -381,8 +405,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
 
 
 def _attach_ttests(rate_reports: list[EvalReport]) -> list[EvalReport]:
-    if len(rate_reports) < 2:
-        return rate_reports
     out = []
     for i, report in enumerate(rate_reports):
         comparisons = []
@@ -421,8 +443,6 @@ def emit_reports(reports: list[EvalReport], out_dir) -> list[str]:
     identical inputs always produce byte-identical files.  Returns the
     written paths (summary first).
     """
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {
@@ -451,52 +471,40 @@ def emit_reports(reports: list[EvalReport], out_dir) -> list[str]:
     return [str(p) for p in paths]
 
 
+def _from_json(cls, raw, where: str):
+    """Build dataclass ``cls`` from the JSON object ``raw``, naming any unknown or missing key."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where}: expected an object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+    if missing:
+        raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
+    return cls(**raw)
+
+
+_NESTED = {"protocol": ProtocolSpec, "data": DataSpec, "synthetic": SyntheticSpec,
+           "representation": RepresentationSpec}
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from parsed JSON (see README schema)."""
-    methods = tuple(MethodSpec(**entry) for entry in raw["methods"])
-    protocol = ProtocolSpec(**raw["protocol"])
-    synthetic = None
-    data_path = None
-    label_column = None
-    if "synthetic" in raw:
-        synthetic = SyntheticSpec(**raw["synthetic"])
-    if "data" in raw:
-        data_path = raw["data"]["path"]
-        label_column = raw["data"]["label_column"]
-    rep = raw.get("representation", {})
-    return ExperimentConfig(
-        methods=methods,
-        protocol=protocol,
-        noise_rates=tuple(float(r) for r in raw.get("noise_rates", (0.0,))),
-        seed=int(raw["seed"]),
-        data_path=data_path,
-        label_column=label_column,
-        synthetic=synthetic,
-        representation=rep.get("mode", "linear"),
-        kernel=rep.get("kernel", "rbf"),
-        bandwidth=rep.get("bandwidth", "median"),
-        positive_class=int(raw.get("positive_class", 1)),
-    )
+    if not isinstance(raw, dict):
+        raise ValueError(f"config: expected an object, got {type(raw).__name__}")
+    raw = {k: _from_json(_NESTED[k], v, k) if k in _NESTED else v for k, v in raw.items()}
+    if "methods" in raw:
+        if not isinstance(raw["methods"], (list, tuple)):
+            raise ValueError(f"methods: expected a list, got {type(raw['methods']).__name__}")
+        raw["methods"] = tuple(
+            _from_json(MethodSpec, m, f"methods[{i}]") for i, m in enumerate(raw["methods"])
+        )
+    return _from_json(ExperimentConfig, raw, "config")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    raw = {
-        "seed": cfg.seed,
-        "methods": [asdict(m) for m in cfg.methods],
-        "protocol": asdict(cfg.protocol),
-        "noise_rates": list(cfg.noise_rates),
-        "representation": {
-            "mode": cfg.representation,
-            "kernel": cfg.kernel,
-            "bandwidth": cfg.bandwidth,
-        },
-        "positive_class": cfg.positive_class,
-    }
-    if cfg.synthetic is not None:
-        raw["synthetic"] = asdict(cfg.synthetic)
-    else:
-        raw["data"] = {"path": cfg.data_path, "label_column": cfg.label_column}
-    return raw
+    """The JSON form of ``cfg``: :func:`config_from_dict` inverts it."""
+    return {k: v for k, v in asdict(cfg).items() if v is not None}
 
 
 def load_config(path) -> ExperimentConfig:

@@ -389,6 +389,53 @@ class TestExperiment:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: {k: v for k, v in raw.items() if k != "seed"},
+             "config: missing key(s) seed"),
+            (lambda raw: {**raw, "methods": [{"name": "square", "alph": 0.1}]},
+             "methods[0]: unknown key(s) alph"),
+            (lambda raw: {**raw, "methods": {"name": "square"}},
+             "methods: expected a list, got dict"),
+            (lambda raw: [raw], "config: expected an object, got list"),
+            (lambda raw: {**{k: v for k, v in raw.items() if k != "synthetic"},
+                          "data": {"path": "x.csv"}},
+             "data: missing key(s) label_column"),
+            (lambda raw: {**{k: v for k, v in raw.items() if k != "synthetic"},
+                          "data": {"path": 3, "label_column": "y"}},
+             "path and label_column must be strings, got DataSpec(path=3, label_column='y')"),
+            (lambda raw: {**raw, "positive_class": "x"},
+             "positive_class must be an integer, got 'x'"),
+            (lambda raw: {**raw, "protocol": {"kind": "kfold", "k": "3"}},
+             "k must be an integer, got '3'"),
+            (lambda raw: {**raw, "protocol": {"kind": "kfold", "times": 2.5}},
+             "times must be an integer, got 2.5"),
+            (lambda raw: {**raw, "synthetic": {**raw["synthetic"], "samples_per_class": 2.5}},
+             "samples_per_class must be an integer, got 2.5"),
+            (lambda raw: {**raw, "noise_rate": [0.4]}, "config: unknown key(s) noise_rate"),
+            (lambda raw: {**raw, "representation": {"bandwith": 0.5}},
+             "representation: unknown key(s) bandwith"),
+            (lambda raw: {**raw, "representation": {"kernel": "poly"}},
+             "unknown kernel kind 'poly'; expected one of ('linear', 'rbf')"),
+            (lambda raw: {**raw, "seed": 1.5}, "seed must be an integer, got 1.5"),
+            (lambda raw: {**raw, "noise_rates": []},
+             "noise_rates must be a nonempty list of rates in [0, 1], got []"),
+        ],
+        ids=[
+            "missing-seed", "unknown-method-key", "methods-object", "top-level-list",
+            "data-without-label-column", "integer-data-path", "string-positive-class", "string-k", "float-times",
+            "float-samples-per-class", "unknown-top-level-key", "unknown-representation-key",
+            "unknown-kernel", "float-seed", "empty-noise-rates",
+        ],
+    )
+    def test_malformed_config_fails_at_load(self, tmp_path, capsys, edit, message):
+        config = self._config(tmp_path)
+        config.write_text(json.dumps(edit(json.loads(config.read_text()))))
+        assert run_cli(["experiment", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_nan_bandwidth_fails_before_training(self, tmp_path, capsys):
         config = self._config(tmp_path)
         raw = json.loads(config.read_text())

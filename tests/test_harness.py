@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ import pytest
 from correntia import harness, regmaxcem
 from correntia import (
     BaselineConfig,
+    DataSpec,
     ExperimentConfig,
     MethodSpec,
     ProtocolSpec,
+    RepresentationSpec,
     SigmaPolicy,
     SplitSpec,
     SyntheticSpec,
@@ -169,9 +172,7 @@ class TestRunExperiment:
 
     def test_kernel_representation_runs(self):
         cfg = blob_config(
-            representation="kernel",
-            kernel="rbf",
-            bandwidth="median",
+            representation=RepresentationSpec("kernel", "rbf", "median"),
             protocol=ProtocolSpec("repeated-split", times=2, fraction=0.5),
             noise_rates=(0.0,),
         )
@@ -194,7 +195,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"representation": "kernel", "bandwidth": -1.0}, "bandwidth > 0"),
+            ({"representation": RepresentationSpec("kernel", bandwidth=-1.0)}, "bandwidth > 0"),
             ({"positive_class": 3}, "positive_class 3 out of range 1..2"),
         ],
     )
@@ -203,6 +204,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=message):
             run_experiment(blob_config(**overrides))
         assert not trained
+
+
+def test_build_representation_rejects_unknown_kernel_kind():
+    # an unknown kind used to fall back to the linear kernel
+    with pytest.raises(ValueError, match="unknown kernel kind 'poly'"):
+        harness.build_representation(np.eye(3), "kernel", "poly", "median")
 
 
 class TestSelectAlphaByCv:
@@ -220,7 +227,7 @@ class TestSelectAlphaByCv:
     def test_one_representation_per_fold(self, monkeypatch):
         builds = count_calls(monkeypatch, harness, "build_representation")
         ds = generate_synthetic(SyntheticSpec(((2.0, 0.0), (-2.0, 0.0)), 1.0, 25, seed=4))
-        select_alpha_by_cv(MethodSpec("square"), ds, representation="kernel", folds=5)
+        select_alpha_by_cv(MethodSpec("square"), ds, RepresentationSpec("kernel"), folds=5)
         assert len(builds) == 5
 
 
@@ -339,9 +346,16 @@ class TestConfigIO:
             "noise_rates": [0.1],
         }
         cfg = config_from_dict(raw)
-        assert cfg.data_path == "some.csv" and cfg.label_column == "y"
+        assert cfg.data == DataSpec("some.csv", "y")
         assert cfg.methods[0].step_size == 0.5
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    def test_readme_schema_loads_and_roundtrips(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Experiment config schema", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = config_from_dict(json.loads(block))
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
     def test_load_config_file(self, tmp_path):
         cfg = blob_config()
@@ -353,7 +367,7 @@ class TestConfigIO:
         with pytest.raises(ValueError, match="nonempty"):
             blob_config(methods=())
         with pytest.raises(ValueError, match="exactly one"):
-            blob_config(data_path="x.csv", label_column="y")
+            blob_config(data=DataSpec("x.csv", "y"))
         with pytest.raises(ValueError, match="unknown method"):
             MethodSpec("perceptron")
         with pytest.raises(ValueError, match="unknown protocol"):
