@@ -24,9 +24,9 @@ for threshold in (-1.0, 0.5, 2.0):
     c = confusion_counts(scores, truth, threshold)
     print(f"  t={threshold:+.1f}: tp={c.tp:2d} fp={c.fp:2d} tn={c.tn:2d} fn={c.fn:2d}")
 
-roc = roc_curve(scores, truth)
-print(f"\nROC sweep produced {len(roc)} points; first/last: "
-      f"({roc[0].x:.0f},{roc[0].y:.0f}) -> ({roc[-1].x:.0f},{roc[-1].y:.0f})")
+roc = roc_curve(scores, truth)  # a Curve: threshold, x and y arrays, one entry per threshold
+print(f"\nROC sweep produced {roc.x.size} points; first/last: "
+      f"({roc.x[0]:.0f},{roc.y[0]:.0f}) -> ({roc.x[-1]:.0f},{roc.y[-1]:.0f})")
 
 area = auc(roc)
 pairs = [(sp, sn) for sp in scores[truth] for sn in scores[~truth]]
@@ -35,7 +35,7 @@ print(f"trapezoid AUC        : {area:.12f}")
 print(f"pairwise ranking prob: {ranking:.12f}   (identical, ties counted half)")
 
 pr = pr_curve(scores, truth)
-print(f"\nPR curve starts at recall {pr[0].x:.0f}, precision {pr[0].y:.0f} "
+print(f"\nPR curve starts at recall {pr.x[0]:.0f}, precision {pr.y[0]:.0f} "
       f"(zero-predicted-positives convention)")
 
 print("\npaired t-test on matched per-split accuracies:")

@@ -25,10 +25,11 @@ from .dataset import (
     load_csv,
     load_features,
     split,
+    write_csv,
 )
 from .evaluation import (
     ConfusionCounts,
-    CurvePoint,
+    Curve,
     DegenerateDifferencesError,
     accuracy,
     auc,
@@ -68,7 +69,6 @@ from .regmaxcem import (
     TrainConfig,
     TrainTrace,
     e_step,
-    evaluate_objective,
     load_model,
     m_step,
     predict_labels,
@@ -78,4 +78,4 @@ from .regmaxcem import (
 )
 from .seeding import child_seed, make_rng
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

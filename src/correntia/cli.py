@@ -6,14 +6,13 @@ use ``.`` decimals and LF line endings.
 """
 
 import argparse
-import csv
 import sys
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, load_csv, load_features
+from .dataset import Dataset, load_csv, load_features, write_csv
 from .evaluation import accuracy, auc, multiclass_binary_scores, pr_curve, roc_curve
 from .harness import (
     METHOD_NAMES,
@@ -121,12 +120,8 @@ def _cmd_train(args) -> int:
         print(f"alpha selected by inner cross-validation: {selected!r}")
     if args.method == "regmaxcem" and args.trace_out:
         model, trace = train(ds, replace(method.train_config(rep), trace=True))
-        columns = [f.name for f in fields(TraceRecord)]
-        with open(args.trace_out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["iteration", *columns])
-            for i, record in enumerate(trace.records, start=1):
-                writer.writerow([i, *(repr(getattr(record, c)) for c in columns)])
+        write_csv(args.trace_out, ["iteration", *(f.name for f in fields(TraceRecord))],
+                  ([i, *astuple(record)] for i, record in enumerate(trace.records, start=1)))
     else:
         model = train_method(method, ds, rep)
     save_model(model, args.model_out)
@@ -139,11 +134,8 @@ def _cmd_predict(args) -> int:
     features = load_features(args.data, args.label_col)
     scores = score_matrix(model, features)
     labels = np.argmax(scores, axis=1)
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["label"] + [f"score_{name}" for name in model.class_map])
-        for k, row in zip(labels, scores):
-            writer.writerow([model.class_map[k]] + [repr(float(v)) for v in row])
+    write_csv(args.out, ["label"] + [f"score_{name}" for name in model.class_map],
+              ([model.class_map[k], *row] for k, row in zip(labels, scores.tolist())))
     print(f"predictions written to {args.out}")
     return 0
 
@@ -213,16 +205,14 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    means = tuple(
-        tuple(float(v) for v in chunk.split(",")) for chunk in args.means.split(";") if chunk
-    )
+    try:
+        means = tuple(tuple(map(float, row.split(","))) for row in args.means.split(";") if row)
+    except ValueError:
+        raise ValueError(f"--means: expected numbers like '2,0;-2,0', got {args.means!r}") from None
     ds = generate_synthetic(SyntheticSpec(means, args.std, args.per_class, args.seed))
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        dim = ds.n_features
-        writer.writerow([f"f{j + 1}" for j in range(dim)] + [args.label_col])
-        for row, label in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [ds.label_names[label - 1]])
+    write_csv(args.out, [f"f{j + 1}" for j in range(ds.n_features)] + [args.label_col],
+              ([*row, ds.label_names[label - 1]]
+               for row, label in zip(ds.features.tolist(), ds.labels.tolist())))
     print(f"{ds.n_samples} samples written to {args.out}")
     return 0
 

@@ -21,6 +21,7 @@ __all__ = [
     "SplitSpec",
     "load_csv",
     "load_features",
+    "write_csv",
     "label_indicator",
     "split",
     "kfold",
@@ -162,6 +163,14 @@ def _read_csv(path, label_column, require_label: bool):
             f"non-finite value {float(features[row, col])}"
         )
     return features, None if label_idx is None else raw_labels
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a headed UTF-8 CSV with LF endings; floats keep their exact shortest repr."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_csv(path, label_column: str) -> Dataset:

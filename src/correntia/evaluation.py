@@ -9,13 +9,14 @@ Student-t tail comes from a library, as ``scipy.special.betainc``.
 """
 
 import math
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ConfusionCounts",
-    "CurvePoint",
+    "Curve",
     "DegenerateDifferencesError",
     "accuracy",
     "confusion_counts",
@@ -35,12 +36,32 @@ class ConfusionCounts(NamedTuple):
     fn: int
 
 
-class CurvePoint(NamedTuple):
-    """One swept point of a ROC (x=FPR, y=TPR) or PR (x=recall, y=precision) curve."""
+@dataclass(frozen=True, eq=False)
+class Curve:
+    """A swept ROC (x=FPR, y=TPR) or PR (x=recall, y=precision) curve.
 
-    x: float
-    y: float
-    threshold: float
+    Three equal-length read-only float64 arrays, one entry per threshold,
+    from the ``inf`` start down the distinct scores.  Two curves are equal
+    when all three arrays are exactly equal.
+    """
+
+    threshold: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            array = np.array(getattr(self, f.name), dtype=np.float64)
+            array.setflags(write=False)
+            object.__setattr__(self, f.name, array)
+        if not (self.x.ndim == 1 and self.threshold.shape == self.x.shape == self.y.shape):
+            shapes = (self.threshold.shape, self.x.shape, self.y.shape)
+            raise ValueError(f"curve arrays must be equal-length vectors, got shapes {shapes}")
+
+    def __eq__(self, other):
+        return isinstance(other, Curve) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
 
 class DegenerateDifferencesError(ValueError):
@@ -58,18 +79,18 @@ def accuracy(pred, truth) -> float:
     return float(np.mean(pred == truth))
 
 
-def _as_binary(truth) -> np.ndarray:
-    truth = np.asarray(truth)
-    out = truth.astype(bool)
-    return out
+def _scores_and_truth(scores, truth):
+    """``scores`` as float64 and ``truth`` as a boolean mask of the same shape."""
+    scores = np.asarray(scores, dtype=np.float64)
+    truth = np.asarray(truth).astype(bool)
+    if scores.shape != truth.shape:
+        raise ValueError(f"length mismatch: {scores.shape} vs {truth.shape}")
+    return scores, truth
 
 
 def confusion_counts(scores, truth, threshold: float) -> ConfusionCounts:
     """Counts at one threshold; a sample is predicted positive iff score >= threshold."""
-    scores = np.asarray(scores, dtype=np.float64)
-    truth = _as_binary(truth)
-    if scores.shape != truth.shape:
-        raise ValueError(f"length mismatch: {scores.shape} vs {truth.shape}")
+    scores, truth = _scores_and_truth(scores, truth)
     predicted = scores >= threshold
     tp = int(np.sum(predicted & truth))
     fp = int(np.sum(predicted & ~truth))
@@ -79,68 +100,55 @@ def confusion_counts(scores, truth, threshold: float) -> ConfusionCounts:
 
 
 def _sweep(scores, truth):
-    """Cumulative (tp, fp) after each distinct descending threshold."""
+    """Thresholds and cumulative (tp, fp) counts, starting at ``(inf, 0, 0)``.
+
+    After the start comes one entry per distinct score, descending, so the
+    last entry holds the numbers of positives and of negatives.
+    """
+    scores, truth = _scores_and_truth(scores, truth)
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     sorted_truth = truth[order]
-    # last index of each tied group
-    distinct = np.nonzero(np.diff(sorted_scores))[0]
-    group_ends = np.concatenate([distinct, [scores.size - 1]])
-    tp_cum = np.cumsum(sorted_truth)[group_ends]
-    fp_cum = np.cumsum(~sorted_truth)[group_ends]
-    thresholds = sorted_scores[group_ends]
+    # last index of each tied group; the appended NaN closes the last one
+    group_ends = np.flatnonzero(np.diff(sorted_scores, append=np.nan))
+    thresholds = np.concatenate(([math.inf], sorted_scores[group_ends]))
+    tp_cum = np.concatenate(([0], np.cumsum(sorted_truth)[group_ends]))
+    fp_cum = np.concatenate(([0], np.cumsum(~sorted_truth)[group_ends]))
     return thresholds, tp_cum, fp_cum
 
 
-def roc_curve(scores, truth) -> list[CurvePoint]:
-    """ROC points (FPR, TPR) swept over distinct score thresholds, descending.
+def roc_curve(scores, truth) -> Curve:
+    """ROC curve (x=FPR, y=TPR) swept over distinct score thresholds, descending.
 
     Tied scores are grouped at one threshold.  The curve starts at (0, 0)
     and ends at (1, 1); both coordinates are non-decreasing along it.
     Requires at least one positive and one negative sample.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    truth = _as_binary(truth)
-    if scores.shape != truth.shape:
-        raise ValueError(f"length mismatch: {scores.shape} vs {truth.shape}")
-    pos = int(np.sum(truth))
-    neg = truth.size - pos
-    if pos == 0 or neg == 0:
+    thresholds, tp, fp = _sweep(scores, truth)
+    if tp[-1] == 0 or fp[-1] == 0:
         raise ValueError("ROC needs at least one positive and one negative sample")
-    thresholds, tp_cum, fp_cum = _sweep(scores, truth)
-    points = [CurvePoint(0.0, 0.0, math.inf)]
-    for thr, tp, fp in zip(thresholds, tp_cum, fp_cum):
-        points.append(CurvePoint(float(fp / neg), float(tp / pos), float(thr)))
-    return points
+    return Curve(thresholds, fp / fp[-1], tp / tp[-1])
 
 
-def auc(curve: list[CurvePoint]) -> float:
+def auc(curve: Curve) -> float:
     """Trapezoid-rule area under a curve from :func:`roc_curve`."""
-    if len(curve) < 2:
+    if curve.x.size < 2:
         raise ValueError("need at least 2 curve points")
-    xs = np.array([p.x for p in curve])
-    ys = np.array([p.y for p in curve])
-    return float(np.sum((ys[1:] + ys[:-1]) * np.diff(xs)) / 2.0)
+    return float(np.sum((curve.y[1:] + curve.y[:-1]) * np.diff(curve.x)) / 2.0)
 
 
-def pr_curve(scores, truth) -> list[CurvePoint]:
-    """Precision-recall points (recall, precision) over the same threshold sweep.
+def pr_curve(scores, truth) -> Curve:
+    """Precision-recall curve (x=recall, y=precision) over the same threshold sweep.
 
     By convention the zero-predicted-positives point has precision 1.
     Requires at least one positive sample.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    truth = _as_binary(truth)
-    if scores.shape != truth.shape:
-        raise ValueError(f"length mismatch: {scores.shape} vs {truth.shape}")
-    pos = int(np.sum(truth))
-    if pos == 0:
+    thresholds, tp, fp = _sweep(scores, truth)
+    if tp[-1] == 0:
         raise ValueError("PR curve needs at least one positive sample")
-    thresholds, tp_cum, fp_cum = _sweep(scores, truth)
-    points = [CurvePoint(0.0, 1.0, math.inf)]
-    for thr, tp, fp in zip(thresholds, tp_cum, fp_cum):
-        points.append(CurvePoint(float(tp / pos), float(tp / (tp + fp)), float(thr)))
-    return points
+    predicted = tp + fp
+    precision = np.divide(tp, predicted, out=np.ones(tp.size), where=predicted > 0)
+    return Curve(thresholds, tp / tp[-1], precision)
 
 
 def student_t_sf(t: float, df: int) -> float:

@@ -14,7 +14,6 @@ implementation runs them sequentially, and report order always follows the
 config regardless of how cells would be scheduled.
 """
 
-import csv
 import json
 import numbers
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -24,9 +23,9 @@ import numpy as np
 
 from .baselines import BaselineConfig, train_hinge, train_logistic, train_square
 from .correntropy import DEFAULT_SIGMA_FLOOR, SigmaPolicy
-from .dataset import Dataset, SplitSpec, inject_label_noise, kfold, load_csv, split
+from .dataset import Dataset, SplitSpec, inject_label_noise, kfold, load_csv, split, write_csv
 from .evaluation import (
-    CurvePoint,
+    Curve,
     DegenerateDifferencesError,
     accuracy,
     auc,
@@ -96,9 +95,13 @@ class SyntheticSpec:
 
     def __post_init__(self):
         _check_numbers(self)
-        means = tuple(tuple(float(v) for v in row) for row in self.means)
-        if len(means) < 1 or len({len(row) for row in means}) != 1:
-            raise ValueError("means must be a nonempty list of equal-length vectors")
+        rows = self.means
+        if not (isinstance(rows, (list, tuple)) and rows and all(
+            isinstance(row, (list, tuple)) and len(row) == len(rows[0]) > 0
+            and all(_is_number(v, numbers.Real) and np.isfinite(v) for v in row) for row in rows
+        )):
+            raise ValueError(f"means must be equal-length vectors of finite numbers, got {rows!r}")
+        means = tuple(tuple(map(float, row)) for row in rows)
         if len(set(means)) != len(means):
             raise ValueError("class means must be pairwise distinct")
         if not self.std > 0:
@@ -209,6 +212,8 @@ class ProtocolSpec:
             raise ValueError(f"unknown protocol {self.kind!r}")
         if self.kind == "repeated-split" and self.times < 1:
             raise ValueError(f"times must be >= 1, got {self.times}")
+        if not 0.0 < self.fraction < 1.0:
+            raise ValueError(f"fraction must be in (0, 1), got {self.fraction}")
 
 
 @dataclass(frozen=True)
@@ -225,17 +230,17 @@ class EvalReport:
 
     ``accuracy`` is the mean of ``per_split_accuracies``; the ROC/PR curves
     and AUC are computed over the test scores pooled across splits, one-vs-
-    rest for the configured positive class.  ``ttests`` holds paired
-    comparisons of this method against every other method at the same noise
-    rate.
+    rest for the configured positive class; they are ``None`` when no cell
+    scored or the pooled test labels miss a side.  ``ttests`` holds paired
+    comparisons of this method against every other method at the same rate.
     """
 
     method: str
     noise_rate: float
     accuracy: float
     per_split_accuracies: tuple[float, ...]
-    roc: tuple[CurvePoint, ...]
-    pr: tuple[CurvePoint, ...]
+    roc: Curve | None
+    pr: Curve | None
     auc: float | None
     ttests: tuple[TTestResult, ...] = ()
     errors: tuple[str, ...] = ()
@@ -264,6 +269,12 @@ class ExperimentConfig:
         )):
             raise ValueError(f"noise_rates must be a nonempty list of rates in [0, 1], got {rates!r}")
         object.__setattr__(self, "noise_rates", tuple(float(r) for r in rates))
+        # curve files are named by method and by rate to six significant digits
+        if len({f"{r:g}" for r in self.noise_rates}) != len(rates):
+            raise ValueError(f"noise_rates must be distinct, got {list(self.noise_rates)}")
+        names = [m.name for m in self.methods]
+        if len(set(names)) != len(names):
+            raise ValueError(f"methods must have distinct names, got {names}")
         if (self.data is None) == (self.synthetic is None):
             raise ValueError("exactly one of data and synthetic must be given")
 
@@ -379,13 +390,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
                 except Exception as exc:  # cell isolation: record, keep sweeping
                     errors.append(f"method={method.name} noise={rate} split={s}: {exc}")
                 assert test.labels.tobytes() == test_fingerprints[s], "test labels were mutated"
-            roc_points, pr_points, area = (), (), None
+            roc, pr, area = None, None, None
             if pooled:
                 all_scores, all_truth = map(np.concatenate, zip(*pooled))
                 try:
-                    roc_points = tuple(roc_curve(all_scores, all_truth))
-                    pr_points = tuple(pr_curve(all_scores, all_truth))
-                    area = auc(list(roc_points))
+                    roc = roc_curve(all_scores, all_truth)
+                    pr = pr_curve(all_scores, all_truth)
+                    area = auc(roc)
                 except ValueError as exc:
                     errors.append(f"method={method.name} noise={rate} curves: {exc}")
             rate_reports.append(
@@ -394,8 +405,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
                     noise_rate=float(rate),
                     accuracy=float(np.mean(per_split)) if per_split else float("nan"),
                     per_split_accuracies=tuple(per_split),
-                    roc=roc_points,
-                    pr=pr_points,
+                    roc=roc,
+                    pr=pr,
                     auc=area,
                     errors=tuple(errors),
                 )
@@ -423,17 +434,10 @@ def _attach_ttests(rate_reports: list[EvalReport]) -> list[EvalReport]:
     return out
 
 
-def _curve_filename(method: str, noise_rate: float, which: str) -> str:
-    return f"{method}_noise{noise_rate:g}_{which}.csv"
-
-
-def write_curve(path, points) -> None:
-    """Write ROC/PR points as a ``threshold,x,y`` CSV (shortest-repr floats, LF endings)."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["threshold", "x", "y"])
-        for point in points:
-            writer.writerow([repr(point.threshold), repr(point.x), repr(point.y)])
+def write_curve(path, curve: Curve) -> None:
+    """Write a ROC/PR curve as a ``threshold,x,y`` CSV, one row per threshold."""
+    write_csv(path, ["threshold", "x", "y"],
+              zip(curve.threshold.tolist(), curve.x.tolist(), curve.y.tolist()))
 
 
 def emit_reports(reports: list[EvalReport], out_dir) -> list[str]:
@@ -461,13 +465,10 @@ def emit_reports(reports: list[EvalReport], out_dir) -> list[str]:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
     for report in reports:
-        if not report.roc:
-            continue
-        roc_path = out / _curve_filename(report.method, report.noise_rate, "roc")
-        pr_path = out / _curve_filename(report.method, report.noise_rate, "pr")
-        write_curve(roc_path, report.roc)
-        write_curve(pr_path, report.pr)
-        paths.extend([roc_path, pr_path])
+        for which, curve in (("roc", report.roc), ("pr", report.pr)):
+            if curve is not None:
+                paths.append(out / f"{report.method}_noise{report.noise_rate:g}_{which}.csv")
+                write_curve(paths[-1], curve)
     return [str(p) for p in paths]
 
 

@@ -63,7 +63,6 @@ __all__ = [
     "train",
     "score_matrix",
     "predict_labels",
-    "evaluate_objective",
     "save_model",
     "load_model",
 ]
@@ -158,9 +157,6 @@ class TrainTrace:
     """Per-iteration training records (empty unless tracing was enabled)."""
 
     records: tuple[TraceRecord, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     @property
     def objectives(self) -> list[float]:
@@ -363,13 +359,6 @@ def score_matrix(model: Model, X) -> np.ndarray:
 def predict_labels(model: Model, X) -> np.ndarray:
     """Argmax class index in ``1..L`` for each row of ``X``; ties go to the smallest index."""
     return np.argmax(score_matrix(model, X), axis=1) + 1
-
-
-def evaluate_objective(model: Model, ds: Dataset, sigma: float, alpha: float) -> float:
-    """Regularized correntropy objective of ``model`` on ``ds``."""
-    scores = score_matrix(model, ds.features).T
-    indicator = label_indicator(ds.labels, model.num_classes)
-    return objective(scores, indicator, model.weights, sigma, alpha)
 
 
 def save_model(model: Model, path) -> None:

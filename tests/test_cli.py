@@ -60,6 +60,13 @@ class TestSynth:
         assert run_cli(["synth", "--out", b] + args) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_non_numeric_means_name_the_flag(self, tmp_path, capsys):
+        assert run_cli(["synth", "--out", tmp_path / "x.csv", "--means", "a,0;1,1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --means: expected numbers like '2,0;-2,0', got 'a,0;1,1'\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestTrainPredictEval:
     @pytest.mark.parametrize("method", ["regmaxcem", "square", "hinge", "logistic"])
@@ -421,12 +428,26 @@ class TestExperiment:
             (lambda raw: {**raw, "seed": 1.5}, "seed must be an integer, got 1.5"),
             (lambda raw: {**raw, "noise_rates": []},
              "noise_rates must be a nonempty list of rates in [0, 1], got []"),
+            (lambda raw: {**raw, "noise_rates": [0.2, 0.2]},
+             "noise_rates must be distinct, got [0.2, 0.2]"),
+            (lambda raw: {**raw, "methods": [{"name": "square"}, {"name": "square", "alpha": 1}]},
+             "methods must have distinct names, got ['square', 'square']"),
+            (lambda raw: {**raw, "synthetic": {**raw["synthetic"], "means": "ab"}},
+             "means must be equal-length vectors of finite numbers, got 'ab'"),
+            (lambda raw: {**raw, "synthetic": {**raw["synthetic"], "means": [["1.5"], [2]]}},
+             "means must be equal-length vectors of finite numbers, got [['1.5'], [2]]"),
+            (lambda raw: {**raw, "protocol": {"kind": "repeated-split", "fraction": 2.0}},
+             "fraction must be in (0, 1), got 2.0"),
+            (lambda raw: {**raw, "protocol": {"kind": "repeated-split", "fraction": float("nan")}},
+             "fraction must be in (0, 1), got nan"),
         ],
         ids=[
             "missing-seed", "unknown-method-key", "methods-object", "top-level-list",
             "data-without-label-column", "integer-data-path", "string-positive-class", "string-k", "float-times",
             "float-samples-per-class", "unknown-top-level-key", "unknown-representation-key",
-            "unknown-kernel", "float-seed", "empty-noise-rates",
+            "unknown-kernel", "float-seed", "empty-noise-rates", "repeated-noise-rate",
+            "repeated-method-name", "string-means", "numeric-string-mean", "fraction-above-one",
+            "nan-fraction",
         ],
     )
     def test_malformed_config_fails_at_load(self, tmp_path, capsys, edit, message):

@@ -11,6 +11,7 @@ from correntia import (
     Dataset,
     DegenerateDifferencesError,
     Model,
+    Curve,
     accuracy,
     auc,
     confusion_counts,
@@ -92,16 +93,18 @@ class TestConfusionCounts:
 
 class TestRocCurve:
     def test_perfect_ranking_passes_top_left(self):
-        points = roc_curve([0.9, 0.8, 0.2, 0.1], [True, True, False, False])
-        assert any(p.x == 0.0 and p.y == 1.0 for p in points)
+        curve = roc_curve([0.9, 0.8, 0.2, 0.1], [True, True, False, False])
+        assert np.any((curve.x == 0.0) & (curve.y == 1.0))
 
     def test_all_tied_scores_collapse_to_diagonal(self):
-        points = roc_curve([0.5, 0.5, 0.5], [True, False, True])
-        assert [(p.x, p.y) for p in points] == [(0.0, 0.0), (1.0, 1.0)]
+        curve = roc_curve([0.5, 0.5, 0.5], [True, False, True])
+        assert curve.x.tolist() == [0.0, 1.0] and curve.y.tolist() == [0.0, 1.0]
 
     def test_hand_sweep(self):
-        points = roc_curve([0.9, 0.4, 0.6], [True, False, True])
-        assert [(p.x, p.y) for p in points] == [(0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (1.0, 1.0)]
+        curve = roc_curve([0.9, 0.4, 0.6], [True, False, True])
+        assert curve.x.tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert curve.y.tolist() == [0.0, 0.5, 1.0, 1.0]
+        assert curve.threshold.tolist() == [math.inf, 0.9, 0.6, 0.4]
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="positive and one negative"):
@@ -115,13 +118,26 @@ class TestRocCurve:
             truth = rng.integers(0, 2, n).astype(bool)
             if truth.all() or not truth.any():
                 continue
-            points = roc_curve(scores, truth)
-            assert (points[0].x, points[0].y) == (0.0, 0.0)
-            assert (points[-1].x, points[-1].y) == (1.0, 1.0)
-            xs = [p.x for p in points]
-            ys = [p.y for p in points]
-            assert all(b >= a for a, b in zip(xs, xs[1:]))
-            assert all(b >= a for a, b in zip(ys, ys[1:]))
+            curve = roc_curve(scores, truth)
+            assert (curve.x[0], curve.y[0]) == (0.0, 0.0)
+            assert (curve.x[-1], curve.y[-1]) == (1.0, 1.0)
+            assert np.all(np.diff(curve.x) >= 0)
+            assert np.all(np.diff(curve.y) >= 0)
+
+
+    def test_every_point_matches_confusion_counts_at_its_threshold(self):
+        # the per-threshold loop the vectorized sweep replaces, with the same divisions
+        rng = np.random.default_rng(3)
+        scores = np.round(rng.standard_normal(60), 1)
+        truth = rng.integers(0, 2, 60).astype(bool)
+        roc, pr = roc_curve(scores, truth), pr_curve(scores, truth)
+        assert roc.threshold.tolist() == [math.inf, *sorted(set(scores.tolist()), reverse=True)]
+        assert np.array_equal(pr.threshold, roc.threshold)
+        pos, neg = int(truth.sum()), int((~truth).sum())
+        for i, threshold in enumerate(roc.threshold):
+            c = confusion_counts(scores, truth, threshold)
+            assert (roc.x[i], roc.y[i]) == (c.fp / neg, c.tp / pos)
+            assert (pr.x[i], pr.y[i]) == (c.tp / pos, c.tp / (c.tp + c.fp) if c.tp + c.fp else 1.0)
 
 
 class TestAuc:
@@ -147,22 +163,43 @@ class TestAuc:
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
-            auc([])
+            auc(Curve([], [], []))
+
+
+class TestCurve:
+    def test_arrays_are_read_only_float64_copies(self):
+        x = np.array([0.0, 1.0])
+        curve = Curve([math.inf, 0.5], x, [0, 1])
+        assert all(a.dtype == np.float64 and not a.flags.writeable
+                   for a in (curve.threshold, curve.x, curve.y))
+        x[1] = 7.0
+        assert curve.x[1] == 1.0
+
+    def test_equality_is_exact_over_all_three_arrays(self):
+        curve = roc_curve([0.9, 0.4, 0.6], [True, False, True])
+        assert curve == roc_curve([0.6, 0.9, 0.4], [True, True, False])
+        assert curve != Curve(curve.threshold, curve.x, np.nextafter(curve.y, 2.0))  # one ulp
+        assert curve != Curve(curve.threshold[::-1], curve.x, curve.y)
+        assert curve != Curve(curve.threshold[:2], curve.x[:2], curve.y[:2])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            Curve([math.inf, 0.5], [0.0, 1.0], [0.0])
 
 
 class TestPrCurve:
     def test_perfect_ranking_reaches_top_right(self):
-        points = pr_curve([0.9, 0.8, 0.1], [True, True, False])
-        assert any(p.x == 1.0 and p.y == 1.0 for p in points)
+        curve = pr_curve([0.9, 0.8, 0.1], [True, True, False])
+        assert np.any((curve.x == 1.0) & (curve.y == 1.0))
 
     def test_hand_case_at_threshold(self):
-        points = pr_curve([0.9, 0.4, 0.6], [True, False, True])
-        at_06 = [p for p in points if p.threshold == 0.6][0]
-        assert at_06.x == 1.0 and at_06.y == 1.0
+        curve = pr_curve([0.9, 0.4, 0.6], [True, False, True])
+        at_06 = np.flatnonzero(curve.threshold == 0.6)[0]
+        assert curve.x[at_06] == 1.0 and curve.y[at_06] == 1.0
 
     def test_zero_predicted_positives_convention(self):
-        points = pr_curve([0.3, 0.7], [True, False])
-        assert points[0].x == 0.0 and points[0].y == 1.0 and points[0].threshold == math.inf
+        curve = pr_curve([0.3, 0.7], [True, False])
+        assert curve.x[0] == 0.0 and curve.y[0] == 1.0 and curve.threshold[0] == math.inf
 
     def test_needs_positives(self):
         with pytest.raises(ValueError, match="positive"):

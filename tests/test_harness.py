@@ -27,7 +27,9 @@ from correntia import (
     generate_synthetic,
     inject_label_noise,
     linear_representation,
+    pr_curve,
     predict_labels,
+    roc_curve,
     run_experiment,
     split,
     train_square,
@@ -98,6 +100,16 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="std must be > 0, got nan"):
             SyntheticSpec(((1.0,), (2.0,)), math.nan, 5, seed=0)
 
+    @pytest.mark.parametrize(
+        "means",
+        ["ab", (("1.5",), (2.0,)), ((1.0,), (True,)), ((math.nan,), (1.0,)), ((1.0,), (2.0, 0.0)),
+         (), ((), ()), (1.0, 2.0)],
+        ids=["string", "numeric-string", "bool", "nan", "ragged", "empty", "empty-rows", "flat"],
+    )
+    def test_bad_means_name_the_field(self, means):
+        with pytest.raises(ValueError, match="^means must be equal-length vectors"):
+            SyntheticSpec(means, 1.0, 5, seed=0)
+
 
 class TestRunExperiment:
     def test_clean_separable_kfold_is_nearly_perfect(self):
@@ -114,12 +126,13 @@ class TestRunExperiment:
         assert len(report.per_split_accuracies) == 5
         assert report.accuracy > 0.99
         assert report.auc is not None and report.auc > 0.99
-        assert report.auc == pytest.approx(auc(list(report.roc)), abs=1e-12)
+        assert report.auc == pytest.approx(auc(report.roc), abs=1e-12)
         assert not report.errors
 
     def test_identical_methods_yield_degenerate_ttest(self):
+        # one regmaxcem round is the square-loss solve, so every split's accuracy matches
         cfg = blob_config(
-            methods=(MethodSpec("square"), MethodSpec("square")),
+            methods=(MethodSpec("square"), MethodSpec("regmaxcem", iters=1)),
             noise_rates=(0.0,),
         )
         reports = run_experiment(cfg)
@@ -275,7 +288,19 @@ class TestEmitReports:
         emit_reports(reports, tmp_path)
         lines = (tmp_path / "square_noise0_roc.csv").read_text().splitlines()
         assert lines[0] == "threshold,x,y"
-        assert len(lines) == len(reports[0].roc) + 1
+        assert len(lines) == reports[0].roc.x.size + 1
+
+    def test_write_curve_golden_bytes(self, tmp_path):
+        # thresholds inf, 0.9, 0.6, 0.4; cumulative tp 0, 1, 1, 2 of 2 and fp 0, 0, 1, 1 of 1
+        scores, truth = [0.6, 0.9, 0.4], [False, True, True]
+        harness.write_curve(tmp_path / "roc.csv", roc_curve(scores, truth))
+        harness.write_curve(tmp_path / "pr.csv", pr_curve(scores, truth))
+        assert (tmp_path / "roc.csv").read_bytes() == (
+            b"threshold,x,y\ninf,0.0,0.0\n0.9,0.0,0.5\n0.6,1.0,0.5\n0.4,1.0,1.0\n"
+        )
+        assert (tmp_path / "pr.csv").read_bytes() == (
+            b"threshold,x,y\ninf,0.0,1.0\n0.9,0.5,1.0\n0.6,0.5,0.5\n0.4,1.0,0.6666666666666666\n"
+        )
 
 
 class TestMethodSpec:
@@ -372,3 +397,21 @@ class TestConfigIO:
             MethodSpec("perceptron")
         with pytest.raises(ValueError, match="unknown protocol"):
             ProtocolSpec("bootstrap")
+        for fraction in (0.0, 1.0, 2.0, math.nan):
+            with pytest.raises(ValueError, match="^fraction must be in \\(0, 1\\)"):
+                ProtocolSpec("repeated-split", fraction=fraction)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"noise_rates": (0.2, 0.2)}, r"noise_rates must be distinct, got \[0.2, 0.2\]"),
+            # these two would share the curve file name square_noise0.2_roc.csv
+            ({"noise_rates": (0.2, 0.2 + 1e-9)}, "noise_rates must be distinct"),
+            ({"methods": (MethodSpec("square"), MethodSpec("square", alpha=0.1))},
+             r"methods must have distinct names, got \['square', 'square'\]"),
+        ],
+        ids=["repeated-rate", "rates-equal-in-file-names", "repeated-method"],
+    )
+    def test_duplicates_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            blob_config(**overrides)

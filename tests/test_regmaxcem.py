@@ -15,12 +15,12 @@ from correntia import (
     SigmaPolicy,
     TrainConfig,
     e_step,
-    evaluate_objective,
     kernel_representation,
     label_indicator,
     linear_representation,
     load_model,
     m_step,
+    objective,
     predict_labels,
     represent_matrix,
     save_model,
@@ -402,12 +402,12 @@ class TestTrain:
         ds = two_blob_dataset(seed=3)
         cfg = TrainConfig(max_iters=50, tol=math.inf, trace=True)
         _, trace = train(ds, cfg)
-        assert len(trace) == 1
+        assert len(trace.records) == 1
 
     def test_trace_disabled_by_default(self):
         ds = two_blob_dataset(seed=4)
         _, trace = train(ds, TrainConfig(max_iters=3))
-        assert len(trace) == 0
+        assert trace.records == ()
 
     def test_fixed_sigma_objective_never_decreases(self):
         ds = two_blob_dataset(seed=5)
@@ -425,7 +425,8 @@ class TestTrain:
         cfg = TrainConfig(alpha=0.02, max_iters=15, tol=0.0, sigma_policy=SigmaPolicy.fixed(1.0), trace=True)
         model, trace = train(ds, cfg)
         assert trace.objectives[-1] >= trace.objectives[0] - 1e-12
-        value = evaluate_objective(model, ds, 1.0, 0.02)
+        scores = score_matrix(model, ds.features).T
+        value = objective(scores, label_indicator(ds.labels, 2), model.weights, 1.0, 0.02)
         assert value == pytest.approx(trace.objectives[-1], abs=1e-12)
 
     def test_adaptive_sigma_recorded(self):
@@ -455,16 +456,21 @@ class TestTrain:
 
 
 class TestEvaluateObjective:
+    """The training objective evaluated on a trained model's own scores."""
+
     def test_perfect_single_class_predictor(self):
         ds = Dataset(np.zeros((4, 1)), np.ones(4, dtype=int), 1)
         model = linear_model(np.zeros((1, 1)), [1.0], class_map=("1",))
-        assert evaluate_objective(model, ds, 1.0, 0.7) == 1.0
+        scores = score_matrix(model, ds.features).T
+        assert objective(scores, label_indicator(ds.labels, 1), model.weights, 1.0, 0.7) == 1.0
 
     def test_penalty_additivity(self):
         ds = two_blob_dataset(seed=8)
         model, _ = train(ds, TrainConfig(max_iters=5))
-        with_pen = evaluate_objective(model, ds, 1.0, 0.25)
-        without = evaluate_objective(model, ds, 1.0, 0.0)
+        scores = score_matrix(model, ds.features).T
+        indicator = label_indicator(ds.labels, 2)
+        with_pen = objective(scores, indicator, model.weights, 1.0, 0.25)
+        without = objective(scores, indicator, model.weights, 1.0, 0.0)
         expected_drop = 0.25 / 2 * float(np.sum(model.weights**2))
         assert without - with_pen == pytest.approx(expected_drop, abs=1e-12)
 
