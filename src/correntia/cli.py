@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--sigma", default=argparse.SUPPRESS, type=_number_or("adaptive"))
     t.add_argument("--sigma-floor", default=argparse.SUPPRESS, type=float)
     t.add_argument("--trace-out", default=None,
-                   help="write per-round objective/sigma/param-change CSV (regmaxcem only)")
+                   help="write a per-round objective/sigma/param-change CSV (--method regmaxcem)")
 
     p = sub.add_parser("predict", help="predict labels for a CSV of features")
     p.add_argument("--model", required=True)
@@ -106,6 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
+    if args.trace_out and args.method != "regmaxcem":
+        raise ValueError(f"--trace-out needs --method regmaxcem, got --method {args.method}")
     ds = load_csv(args.data, args.label_col)
     representation = RepresentationSpec(args.representation, args.kernel, args.bandwidth)
     rep = representation.build(ds.features)
@@ -118,7 +120,7 @@ def _cmd_train(args) -> int:
         selected = select_alpha_by_cv(method, ds, representation)
         method = replace(method, alpha=selected)
         print(f"alpha selected by inner cross-validation: {selected!r}")
-    if args.method == "regmaxcem" and args.trace_out:
+    if args.trace_out:
         model, trace = train(ds, replace(method.train_config(rep), trace=True))
         write_csv(args.trace_out, ["iteration", *(f.name for f in fields(TraceRecord))],
                   ([i, *astuple(record)] for i, record in enumerate(trace.records, start=1)))

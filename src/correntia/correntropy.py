@@ -39,10 +39,9 @@ class SigmaPolicy:
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
             raise ValueError(f"unknown sigma mode {self.mode!r}")
-        if self.mode == "fixed" and (self.sigma is None or not self.sigma > 0):
-            raise ValueError(f"fixed sigma must be > 0, got {self.sigma}")
-        if not self.floor > 0:
-            raise ValueError(f"sigma floor must be > 0, got {self.floor}")
+        if self.mode == "fixed":
+            _check_width("fixed sigma", self.sigma)
+        _check_width("sigma floor", self.floor)
 
     @classmethod
     def fixed(cls, sigma: float, floor: float = DEFAULT_SIGMA_FLOOR) -> "SigmaPolicy":
@@ -53,14 +52,23 @@ class SigmaPolicy:
         return cls(mode="adaptive", floor=floor)
 
 
-def g_sigma(x, sigma: float):
-    """Gaussian similarity ``exp(-x^2 / (2 sigma^2))``; even, in (0, 1].
+def _check_width(name: str, value) -> None:
+    """Reject a kernel width that is not > 0 (NaN and None included) or whose ``2 value^2`` is 0."""
+    if value is None or not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+    if not 2.0 * value * value > 0:
+        raise ValueError(f"{name} {value} is too small: 2 * {value}**2 underflows to 0")
 
-    Accepts scalars or arrays and evaluates elementwise.
+
+def g_sigma(x, sigma: float):
+    """Gaussian similarity ``exp(-x^2 / (2 sigma^2))``; even, in [0, 1].
+
+    Accepts scalars or arrays and evaluates elementwise.  A quotient that
+    overflows to -inf gives the exact limit 0, without a warning.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    return np.exp(-np.square(x) / (2.0 * sigma * sigma))
+    _check_width("sigma", sigma)
+    with np.errstate(over="ignore"):
+        return np.exp(-np.square(x) / (2.0 * sigma * sigma))
 
 
 def correntropy_estimate(a, b, sigma: float) -> float:

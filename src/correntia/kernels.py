@@ -7,6 +7,7 @@ identity in the trainer becomes ``N x N``).  Everything here is a pure
 function of immutable inputs.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ KERNEL_KINDS = ("linear", "rbf")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel function: ``linear`` (dot product) or ``rbf`` with a bandwidth."""
+    """A kernel function: ``linear`` (dot product) or ``rbf`` with a float bandwidth."""
 
     kind: str
     bandwidth: float | None = None
@@ -34,17 +35,20 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
-        if self.kind == "rbf":
-            if self.bandwidth is None or not self.bandwidth > 0:
-                raise ValueError(f"rbf kernel needs bandwidth > 0, got {self.bandwidth}")
+        if self.bandwidth is not None:
+            if isinstance(self.bandwidth, bool) or not isinstance(self.bandwidth, numbers.Real):
+                raise ValueError(f"kernel needs a numeric bandwidth, got {self.bandwidth!r}")
+            object.__setattr__(self, "bandwidth", float(self.bandwidth))
+        if self.kind == "rbf" and (self.bandwidth is None or not self.bandwidth > 0):
+            raise ValueError(f"rbf kernel needs bandwidth > 0, got {self.bandwidth}")
 
 
 @dataclass(frozen=True)
 class Representation:
     """How samples are fed to predictors: raw features or kernel vectors.
 
-    ``anchors`` (the training feature matrix) and ``kernel`` are required in
-    kernel mode and ignored in linear mode.
+    Kernel mode requires ``anchors`` (the training feature matrix, as a
+    non-empty matrix) and a :class:`KernelSpec`; linear mode takes neither.
     """
 
     mode: str
@@ -52,16 +56,19 @@ class Representation:
     kernel: KernelSpec | None = None
 
     def __post_init__(self):
-        if self.mode not in ("linear", "kernel"):
-            raise ValueError(f"unknown representation mode {self.mode!r}")
-        if self.mode == "kernel":
-            if self.anchors is None or np.size(self.anchors) == 0:
-                raise ValueError("kernel mode requires non-empty anchors")
-            if self.kernel is None:
-                raise ValueError("kernel mode requires a KernelSpec")
-            anchors = np.ascontiguousarray(self.anchors, dtype=np.float64)
+        if self.mode == "linear":
+            if self.anchors is not None or self.kernel is not None:
+                raise ValueError("linear mode takes no anchors and no kernel")
+        elif self.mode == "kernel":
+            anchors = np.ascontiguousarray(self.anchors, dtype=np.float64)  # None: 1-D, rejected
+            if anchors.ndim != 2 or anchors.size == 0:
+                raise ValueError("kernel mode requires non-empty anchors, one row per anchor")
+            if not isinstance(self.kernel, KernelSpec):
+                raise ValueError(f"kernel mode requires a KernelSpec, got {self.kernel!r}")
             anchors.setflags(write=False)
             object.__setattr__(self, "anchors", anchors)
+        else:
+            raise ValueError(f"unknown representation mode {self.mode!r}")
 
 
 def linear_representation() -> Representation:

@@ -39,7 +39,8 @@ Trained models are immutable and safe to share across threads.
 """
 
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -86,11 +87,13 @@ class DegenerateClassError(RuntimeError):
 
 @dataclass(frozen=True)
 class Model:
-    """A trained one-vs-all predictor bundle.
+    """A trained one-vs-all predictor bundle; construction checks every field.
 
-    ``weights`` is ``L x D'`` (``D' = D`` linear, ``D' = N`` anchors in
-    kernel mode) and ``biases`` has length ``L``; class ``l`` scores a
+    ``weights`` is a non-empty, finite ``L x D'`` matrix (``D' = D`` linear,
+    the anchor count in kernel mode), ``biases`` has ``L`` finite entries and
+    ``class_map`` is a list or tuple of ``L`` strings; class ``l`` scores a
     represented sample ``z`` as ``weights[l - 1] @ z + biases[l - 1]``.
+    ``sigma_final`` is a number, stored as a float.  Else ``ValueError``.
     """
 
     weights: np.ndarray
@@ -102,16 +105,29 @@ class Model:
     def __post_init__(self):
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         biases = np.asarray(self.biases, dtype=np.float64)
-        if weights.ndim != 2 or biases.shape != (weights.shape[0],):
-            raise ValueError(
-                f"inconsistent parameter shapes: weights {weights.shape}, biases {biases.shape}"
-            )
+        if weights.ndim != 2 or weights.size == 0:
+            raise ValueError(f"weights must be a non-empty matrix, got shape {weights.shape}")
+        num_classes, dim = weights.shape
+        if biases.shape != (num_classes,):
+            raise ValueError(f"biases has shape {biases.shape} for {num_classes} weight rows")
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
             raise ValueError("model parameters must be finite")
+        if not (
+            isinstance(self.class_map, (list, tuple))
+            and len(self.class_map) == num_classes
+            and all(isinstance(name, str) for name in self.class_map)
+        ):
+            raise ValueError(f"class_map must list {num_classes} class names, one per weight row")
+        if isinstance(self.sigma_final, bool) or not isinstance(self.sigma_final, numbers.Real):
+            raise ValueError(f"sigma_final must be a number, got {self.sigma_final!r}")
+        rep = self.representation
+        if rep.mode == "kernel" and len(rep.anchors) != dim:
+            raise ValueError(f"weights have {dim} columns for {len(rep.anchors)} kernel anchors")
         weights.setflags(write=False)
         biases.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
+        object.__setattr__(self, "sigma_final", float(self.sigma_final))
         object.__setattr__(self, "class_map", tuple(self.class_map))
 
     @property
@@ -361,49 +377,37 @@ def predict_labels(model: Model, X) -> np.ndarray:
     return np.argmax(score_matrix(model, X), axis=1) + 1
 
 
+_MODEL_FORMAT = "correntia-model"
+_MODEL_KEYS = [f.name for f in fields(Representation) + fields(Model) if f.name != "representation"]
+
+
 def save_model(model: Model, path) -> None:
     """Write a model to a self-describing JSON file.
 
-    Floats round-trip exactly through their shortest decimal repr, so a
-    loaded model reproduces predictions bit-identically on the same
-    platform.
+    The keys are the fields of ``Model`` and of its ``Representation``, plus
+    ``format`` and ``version``.  Floats round-trip exactly through their
+    shortest decimal repr, so a loaded model reproduces predictions
+    bit-identically on the same platform.
     """
-    rep = model.representation
-    payload = {
-        "format": "correntia-model",
-        "version": 1,
-        "mode": rep.mode,
-        "kernel": None
-        if rep.kernel is None
-        else {"kind": rep.kernel.kind, "bandwidth": rep.kernel.bandwidth},
-        "anchors": None if rep.anchors is None else rep.anchors.tolist(),
-        "weights": model.weights.tolist(),
-        "biases": model.biases.tolist(),
-        "sigma_final": model.sigma_final,
-        "class_map": list(model.class_map),
-    }
+    payload = asdict(model)
+    payload.update(payload.pop("representation"), format=_MODEL_FORMAT, version=1)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True, default=np.ndarray.tolist)
         handle.write("\n")
-
-
-_MODEL_KEYS = ("mode", "kernel", "anchors", "weights", "biases", "sigma_final", "class_map")
 
 
 def load_model(path) -> Model:
     """Load a model written by :func:`save_model`.
 
-    Raises ``ValueError`` naming ``path`` and the problem when the file is
-    not a version-1 correntia model, lacks a key, or holds inconsistent
-    parameters: ``weights`` must be a non-empty ``L x D'`` matrix,
-    ``biases`` and ``class_map`` must have ``L`` entries, and in kernel
-    mode ``D'`` must equal the number of anchors.  (In linear mode ``D'``
+    Raises ``ValueError`` starting with ``path`` when the file is not JSON,
+    not a version-1 correntia model, lacks a key, or holds values that
+    :class:`Model`, :class:`~correntia.kernels.Representation` or
+    :class:`~correntia.kernels.KernelSpec` reject.  (In linear mode ``D'``
     is checked against the data when it is scored.)
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
     try:
-        return _model_from_payload(payload)
+        with open(path, "r", encoding="utf-8") as handle:
+            return _model_from_payload(json.load(handle))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -420,52 +424,25 @@ def _numbers(value, key: str, ndim: int) -> np.ndarray:
 
 
 def _model_from_payload(payload) -> Model:
-    if not isinstance(payload, dict) or payload.get("format") != "correntia-model":
+    if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
         raise ValueError("not a correntia model file")
-    if payload.get("version") != 1:
-        raise ValueError(f"unsupported model file version {payload.get('version')!r}, expected 1")
+    version = payload.get("version")
+    if version != 1 or isinstance(version, bool):
+        raise ValueError(f"unsupported model file version {version!r}, expected 1")
     missing = [key for key in _MODEL_KEYS if key not in payload]
     if missing:
         raise ValueError(f"missing key(s) {', '.join(missing)}")
-
-    weights = _numbers(payload["weights"], "weights", 2)
-    num_classes, dim = weights.shape
-    biases = _numbers(payload["biases"], "biases", 1)
-    if biases.size != num_classes:
-        raise ValueError(f"biases has {biases.size} entries for {num_classes} weight rows")
-    class_map = payload["class_map"]
-    if not (
-        isinstance(class_map, list)
-        and len(class_map) == num_classes
-        and all(isinstance(name, str) for name in class_map)
-    ):
-        raise ValueError(f"class_map must list {num_classes} class names, one per weight row")
-    sigma_final = payload["sigma_final"]
-    if isinstance(sigma_final, bool) or not isinstance(sigma_final, (int, float)):
-        raise ValueError(f"sigma_final must be a number, got {sigma_final!r}")
-
-    kernel = payload["kernel"]
-    if kernel is not None and not (
-        isinstance(kernel, dict)
-        and {"kind", "bandwidth"} <= kernel.keys()
-        and isinstance(kernel["bandwidth"], (int, float, type(None)))
-    ):
-        raise ValueError("kernel must be null or an object with kind and a numeric bandwidth")
-    anchors = payload["anchors"]
-    rep = Representation(
-        mode=payload["mode"],
-        anchors=None if anchors is None else _numbers(anchors, "anchors", 2),
-        kernel=None if kernel is None else KernelSpec(kernel["kind"], kernel["bandwidth"]),
-    )
-    if rep.mode == "kernel" and rep.anchors.shape[0] != dim:
-        raise ValueError(
-            f"weights have {dim} columns but the kernel representation has "
-            f"{rep.anchors.shape[0]} anchors"
-        )
+    kernel, anchors = payload["kernel"], payload["anchors"]
+    if not (kernel is None or isinstance(kernel, dict) and kernel.keys() == {"kind", "bandwidth"}):
+        raise ValueError("kernel must be null or an object with just the keys kind and bandwidth")
     return Model(
-        weights=weights,
-        biases=biases,
-        representation=rep,
-        sigma_final=float(sigma_final),
-        class_map=tuple(class_map),
+        weights=_numbers(payload["weights"], "weights", 2),
+        biases=_numbers(payload["biases"], "biases", 1),
+        representation=Representation(
+            mode=payload["mode"],
+            anchors=None if anchors is None else _numbers(anchors, "anchors", 2),
+            kernel=None if kernel is None else KernelSpec(**kernel),
+        ),
+        sigma_final=payload["sigma_final"],
+        class_map=payload["class_map"],
     )

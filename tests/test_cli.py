@@ -119,6 +119,19 @@ class TestTrainPredictEval:
                         "--out", pred_path, "--label-col", "label"]) == 0
         assert len(pred_path.read_text().splitlines()) == 81
 
+    @pytest.mark.parametrize("method", ["square", "hinge", "logistic"])
+    def test_trace_out_needs_regmaxcem(self, tmp_path, blob_csv, method, capsys):
+        model_path, trace_path = tmp_path / "m.json", tmp_path / "trace.csv"
+        assert run_cli(
+            ["train", "--data", blob_csv, "--label-col", "label", "--method", method,
+             "--model-out", model_path, "--trace-out", trace_path]
+        ) == 1
+        assert capsys.readouterr().err == (
+            f"error: --trace-out needs --method regmaxcem, got --method {method}\n"
+        )
+        assert not model_path.exists()
+        assert not trace_path.exists()
+
     def test_original_label_names_survive(self, tmp_path, capsys):
         data = tmp_path / "named.csv"
         data.write_text("x,kind\n2.0,spam\n2.5,spam\n-2.0,ham\n-2.5,ham\n")
@@ -238,6 +251,10 @@ class TestErrors:
             (["--sigma", "nan"], "fixed sigma must be > 0, got nan"),
             (["--representation", "kernel", "--bandwidth", "nan"],
              "rbf kernel needs bandwidth > 0, got nan"),
+            (["--sigma", "1e-300"],
+             "fixed sigma 1e-300 is too small: 2 * 1e-300**2 underflows to 0"),
+            (["--sigma-floor", "1e-300"],
+             "sigma floor 1e-300 is too small: 2 * 1e-300**2 underflows to 0"),
         ],
     )
     def test_nan_hyperparameter_is_one_line_error(self, tmp_path, blob_csv, flags, message, capsys):
@@ -382,6 +399,8 @@ class TestExperiment:
             ("step_size", float("nan"), "step_size must be > 0, got nan"),
             ("sigma", float("nan"), "fixed sigma must be > 0, got nan"),
             ("sigma_floor", float("nan"), "sigma floor must be > 0, got nan"),
+            ("sigma_floor", 1e-300,
+             "sigma floor 1e-300 is too small: 2 * 1e-300**2 underflows to 0"),
             ("alpha", "x", "alpha must be a number, got 'x'"),
             ("iters", "5", "iters must be an integer, got '5'"),
             ("iters", 2.5, "iters must be an integer, got 2.5"),
@@ -394,6 +413,18 @@ class TestExperiment:
         config.write_text(json.dumps(raw))
         assert run_cli(["experiment", "--config", config, "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_regmaxcem_sigma_whose_square_underflows_fails_at_load(self, tmp_path, capsys):
+        # 2 * sigma**2 is 0, so every cell would fail with DegenerateClassError and exit 0
+        config = self._config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["methods"] = [{"name": "regmaxcem", "sigma": 1e-300}]
+        config.write_text(json.dumps(raw))
+        assert run_cli(["experiment", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (
+            "error: fixed sigma 1e-300 is too small: 2 * 1e-300**2 underflows to 0\n"
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Gaussian similarity, the correntropy estimator, and the training objective."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,26 @@ class TestGSigma:
             g_sigma(1.0, -2.0)
         with pytest.raises(ValueError):
             g_sigma(1.0, math.nan)
+
+    def test_tiny_sigma_gives_the_exact_limit_without_a_warning(self):
+        # 2 sigma^2 is subnormal here; -100 / 2e-320 overflows to -inf and exp(-inf) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g_sigma(10.0, 1e-160) == 0.0
+            assert g_sigma(0.0, 1e-160) == 1.0
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: g_sigma(1.0, 1e-300), "sigma 1e-300 is too small"),
+            (lambda: SigmaPolicy.fixed(1e-300), "fixed sigma 1e-300 is too small"),
+            (lambda: SigmaPolicy.adaptive(1e-170), "sigma floor 1e-170 is too small"),
+            (lambda: SigmaPolicy.fixed(1.0, floor=1e-300), "sigma floor 1e-300 is too small"),
+        ],
+    )
+    def test_sigma_whose_square_underflows_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message + r": 2 \* 1e-\d+\*\*2 underflows to 0"):
+            build()
 
     @given(finite_floats, st.floats(min_value=2.0, max_value=20))
     def test_bounded_in_unit_interval(self, x, sigma):

@@ -523,6 +523,41 @@ class TestModelSerialization:
         assert model.representation.kernel == KernelSpec("rbf", 1.5)
         assert (model.sigma_final, model.class_map) == (0.7, ("spam", "ham"))
 
+    @pytest.mark.parametrize(
+        "representation, head",
+        [
+            (linear_representation(), '  "anchors": null,\n'),
+            (
+                kernel_representation(np.array([[0.5, -1.0], [2.0, 0.25]]), KernelSpec("rbf", 1.5)),
+                '  "anchors": [\n    [\n      0.5,\n      -1.0\n    ],\n'
+                '    [\n      2.0,\n      0.25\n    ]\n  ],\n',
+            ),
+        ],
+        ids=["linear", "rbf"],
+    )
+    def test_save_golden_bytes(self, tmp_path, representation, head):
+        model = Model(
+            np.array([[1e-17, 2.5], [-3.0, 0.125]]), [0.1, -0.30000000000000004],
+            representation, 0.7, ("spam", "ham"),
+        )
+        kernel = (
+            '  "kernel": null,\n  "mode": "linear",\n'
+            if representation.kernel is None
+            else '  "kernel": {\n    "bandwidth": 1.5,\n    "kind": "rbf"\n  },\n'
+            '  "mode": "kernel",\n'
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_bytes().decode("utf-8") == (
+            "{\n" + head
+            + '  "biases": [\n    0.1,\n    -0.30000000000000004\n  ],\n'
+            '  "class_map": [\n    "spam",\n    "ham"\n  ],\n'
+            '  "format": "correntia-model",\n' + kernel
+            + '  "sigma_final": 0.7,\n  "version": 1,\n'
+            '  "weights": [\n    [\n      1e-17,\n      2.5\n    ],\n'
+            '    [\n      -3.0,\n      0.125\n    ]\n  ]\n}\n'
+        )
+
     @staticmethod
     def _kernel_payload(tmp_path):
         rng = np.random.default_rng(12)
@@ -552,11 +587,20 @@ class TestModelSerialization:
             (lambda p: p["kernel"].update(bandwidth="wide"), "numeric bandwidth"),
             (lambda p: p.update(mode="cubic"), "mode"),
             (lambda p: p.update(sigma_final="wide"), "sigma_final"),
+            (lambda p: p["kernel"].update(bandwidth=True), "numeric bandwidth, got True"),
+            (lambda p: p["kernel"].update(gamma=0.5), "kernel must be null or an object"),
+            (lambda p: p["kernel"].pop("bandwidth"), "kernel must be null or an object"),
+            (lambda p: p.update(class_map="abc"), "class_map"),
+            (lambda p: p.update(sigma_final=True), "sigma_final must be a number, got True"),
+            (lambda p: p.update(version=True), "version True"),
+            (lambda p: p.update(mode="linear"), "linear mode takes no anchors"),
         ],
         ids=["no-mode", "no-weights", "version-99", "no-version", "short-class-map",
              "short-biases", "narrow-weights", "fewer-anchors", "ragged-weights",
              "empty-weights", "no-anchors", "kernel-not-object", "bandwidth-not-number",
-             "unknown-mode", "sigma-not-number"],
+             "unknown-mode", "sigma-not-number", "bandwidth-bool", "extra-kernel-key",
+             "kernel-without-bandwidth", "class-map-string", "sigma-bool", "version-bool",
+             "linear-with-anchors"],
     )
     def test_rejects_inconsistent_file(self, tmp_path, corrupt, problem):
         path, payload = self._kernel_payload(tmp_path)
@@ -565,6 +609,65 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match=problem) as info:
             load_model(path)
         assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("cut", [0, 40], ids=["empty", "truncated"])
+    def test_rejects_text_that_is_not_json(self, tmp_path, cut):
+        path, _ = self._kernel_payload(tmp_path)
+        path.write_text(path.read_text()[:cut])
+        with pytest.raises(ValueError, match="Expecting") as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
+class TestModelInvariants:
+    @pytest.mark.parametrize(
+        "weights, biases, class_map, sigma_final, problem",
+        [
+            (np.ones((2, 3)), [0, 0], ("a",), 1.0, "class_map must list 2"),
+            (np.ones((2, 3)), [0, 0], "ab", 1.0, "class_map must list 2"),
+            (np.ones((2, 3)), [0, 0], ("a", 2), 1.0, "class_map"),
+            (np.ones((2, 3)), [0, 0, 0], ("a", "b"), 1.0, "biases"),
+            (np.ones((2, 0)), [0, 0], ("a", "b"), 1.0, "weights must be a non-empty matrix"),
+            (np.ones(3), [0], ("a",), 1.0, "weights must be a non-empty matrix"),
+            (np.full((1, 2), np.nan), [0], ("a",), 1.0, "finite"),
+            (np.ones((2, 3)), [0, 0], ("a", "b"), True, "sigma_final"),
+            (np.ones((2, 3)), [0, 0], ("a", "b"), "0.5", "sigma_final"),
+        ],
+    )
+    def test_rejects_inconsistent_fields(self, weights, biases, class_map, sigma_final, problem):
+        with pytest.raises(ValueError, match=problem):
+            Model(weights, biases, linear_representation(), sigma_final, class_map)
+
+    def test_kernel_weights_need_one_column_per_anchor(self):
+        rep = kernel_representation(np.ones((4, 2)), KernelSpec("rbf", 1.0))
+        with pytest.raises(ValueError, match="3 columns for 4 kernel anchors"):
+            Model(np.ones((2, 3)), [0, 0], rep, 1.0, ("a", "b"))
+
+    @pytest.mark.parametrize(
+        "representation, sigma_final, class_map",
+        [
+            (linear_representation(), 1, ["a", "b"]),
+            (linear_representation(), np.float32(0.5), ("a", "b")),
+            (kernel_representation([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], KernelSpec("rbf", 2)),
+             0.25, ("a", "b")),
+            (kernel_representation(np.eye(3), KernelSpec("linear")), 3.0, ("a", "b")),
+        ],
+        ids=["int-sigma-list-names", "float32-sigma", "int-bandwidth", "linear-kernel"],
+    )
+    def test_every_constructible_model_round_trips(
+        self, tmp_path, representation, sigma_final, class_map
+    ):
+        model = Model([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]], [0.1, -0.1],
+                      representation, sigma_final, class_map)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert (loaded.sigma_final, loaded.class_map) == (float(sigma_final), ("a", "b"))
+        assert loaded.representation.kernel == model.representation.kernel
+        np.testing.assert_array_equal(loaded.weights, model.weights)
+        np.testing.assert_array_equal(loaded.biases, model.biases)
+        if representation.anchors is not None:
+            np.testing.assert_array_equal(loaded.representation.anchors, representation.anchors)
 
 
 class TestKernelConsistency:
