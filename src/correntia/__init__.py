@@ -8,7 +8,13 @@ comes from ``scipy.special``), and a deterministic experiment harness for
 label-noise robustness studies.
 """
 
-from .baselines import BaselineConfig, train_hinge, train_logistic, train_square
+from .baselines import (
+    BaselineConfig,
+    train_hinge,
+    train_hinge_batch,
+    train_logistic,
+    train_square,
+)
 from .correntropy import (
     SigmaPolicy,
     correntropy_estimate,

@@ -9,10 +9,14 @@ interplay.  The 0-1 loss appears only as the accuracy metric, never as a
 training objective.
 
 The hinge trainer steps all L classes together, two GEMMs per iteration
-over an L x n margin matrix.  The logistic trainer loops over the classes,
-because each class keeps its own Armijo step and backtracking sequence.
+over an L x n margin matrix, and :func:`train_hinge_batch` steps many
+cells of a sweep (noise rates x splits) in the same loop through stacked
+matmuls; :func:`train_hinge` is a batch of one.  The logistic trainer
+loops over the classes, because each class keeps its own Armijo step and
+backtracking sequence.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +25,7 @@ from .dataset import Dataset, label_indicator
 from .kernels import Representation, represent_matrix
 from .regmaxcem import Model, m_step
 
-__all__ = ["BaselineConfig", "train_square", "train_hinge", "train_logistic"]
+__all__ = ["BaselineConfig", "train_square", "train_hinge", "train_hinge_batch", "train_logistic"]
 
 
 @dataclass(frozen=True)
@@ -85,41 +89,102 @@ def train_hinge(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Model:
     L x n margins and one for the L x D' subgradient.  The classes are
     independent problems, so this gives the per-class results of L separate
     loops.  Raises ``FloatingPointError`` naming the lowest-index class whose
-    objective turned non-finite at the first iteration where any did.
+    objective turned non-finite at the first iteration where any did.  This
+    is a batch of one cell of :func:`train_hinge_batch`.
     """
-    represented = represent_matrix(ds.features, rep)  # n x D'
-    indicator = label_indicator(ds.labels, ds.num_classes)  # L x n
-    n, dim = represented.shape
+    ((result,),) = train_hinge_batch([(rep, [ds])], cfg)
+    if isinstance(result, FloatingPointError):
+        raise result
+    return result
+
+
+def train_hinge_batch(
+    splits: Sequence[tuple[Representation, Sequence[Dataset]]], cfg: BaselineConfig
+) -> list[list[Model | FloatingPointError]]:
+    """:func:`train_hinge` on many cells at once, all stepped in one loop.
+
+    ``splits`` holds ``(rep, datasets)`` pairs; the datasets of one pair share
+    their features and differ only in labels, like one training split at
+    several noise rates.  Each split is represented once.  Splits whose
+    represented matrices and label sets have equal shapes are stacked, and
+    every iteration steps all their cells through stacked matmuls, with each
+    represented matrix broadcast over its label sets.  The cells are
+    independent, so each gets exactly its lone :func:`train_hinge` result.
+
+    Returns, per split and per dataset, the fitted model, or for a cell whose
+    objective turned non-finite the ``FloatingPointError`` that
+    :func:`train_hinge` would raise; that cell does not affect the others.
+    """
+    results: list[list] = [[None] * len(datasets) for _, datasets in splits]
+    groups: dict[tuple, list] = {}
+    for s, (rep, datasets) in enumerate(splits):
+        if any(not np.array_equal(ds.features, datasets[0].features) for ds in datasets):
+            raise ValueError(f"split {s}: the datasets of one split must share their features")
+        represented = represent_matrix(datasets[0].features, rep)  # n x D'
+        indicator = np.stack([label_indicator(ds.labels, ds.num_classes) for ds in datasets])
+        key = (represented.shape, indicator.shape)
+        groups.setdefault(key, []).append((s, represented, indicator))
+    for members in groups.values():
+        index, represented, indicator = zip(*members)
+        weights, biases, failed = _hinge_steps(np.stack(represented), np.stack(indicator), cfg)
+        for g, s in enumerate(index):
+            rep, datasets = splits[s]
+            for c, ds in enumerate(datasets):
+                results[s][c] = (
+                    FloatingPointError(
+                        f"class {failed[g, c]}: hinge objective became non-finite "
+                        "(step size too large?)"
+                    )
+                    if failed[g, c]
+                    else _assemble(weights[g, c], biases[g, c], rep, ds)
+                )
+    return results
+
+
+def _hinge_steps(represented: np.ndarray, indicator: np.ndarray, cfg: BaselineConfig):
+    """The hinge subgradient loop over stacked cells.
+
+    ``represented`` is ``S x n x D'`` (one matrix per split) and ``indicator``
+    ``S x C x L x n`` (C label sets per split).  Returns the best weights
+    ``S x C x L x D'``, the best biases ``S x C x L`` and, per cell, the
+    1-based class whose objective first turned non-finite (0 where none did).
+    """
+    represented = represented[:, None]  # broadcast over each split's label sets
+    n, dim = represented.shape[-2:]
     alpha = cfg.alpha
 
-    weights = np.zeros((ds.num_classes, dim))
-    biases = np.zeros(ds.num_classes)
+    weights = np.zeros(indicator.shape[:-1] + (dim,))
+    biases = np.zeros(indicator.shape[:-1])
     margins_comp = np.ones_like(indicator)  # 1 - y * f at the zero start
-    best = np.ones(ds.num_classes)  # every margin is 1 there, so each objective is 1
+    best = np.ones(biases.shape)  # every margin is 1 there, so each objective is 1
     best_weights, best_biases = weights.copy(), biases.copy()
-    # Overflow is caught below as a non-finite objective, so numpy need not warn.
+    failed = np.zeros(indicator.shape[:-2], dtype=np.int64)
+    # Overflow shows below as a non-finite objective, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.max_iters + 1):
             active = np.where(margins_comp > 0.0, indicator, 0.0)
             grad_w = -(active @ represented) / n + 2.0 * alpha * weights
-            grad_b = -active.sum(axis=1) / n
+            grad_b = -active.sum(axis=-1) / n
             step = cfg.step_size / np.sqrt(t)
             weights = weights - step * grad_w
             biases = biases - step * grad_b
-            margins_comp = 1.0 - indicator * (weights @ represented.T + biases[:, None])
-            penalty = alpha * (weights * weights).sum(axis=1)
-            value = np.maximum(margins_comp, 0.0).sum(axis=1) / n + penalty
+            scores = weights @ represented.swapaxes(-1, -2) + biases[..., None]
+            margins_comp = 1.0 - indicator * scores
+            penalty = alpha * (weights * weights).sum(axis=-1)
+            value = np.maximum(margins_comp, 0.0).sum(axis=-1) / n + penalty
             finite = np.isfinite(value)
             if not finite.all():
-                raise FloatingPointError(
-                    f"class {int(np.argmin(finite)) + 1}: hinge objective became non-finite "
-                    "(step size too large?)"
-                )
+                # a cell fails once, naming its lowest non-finite class; the
+                # cells are independent, so it keeps stepping harmlessly
+                first = (failed == 0) & ~finite.all(axis=-1)
+                failed[first] = np.argmin(finite, axis=-1)[first] + 1
+                if failed.all():
+                    break
             improved = value < best
             np.copyto(best, value, where=improved)
-            np.copyto(best_weights, weights, where=improved[:, None])
+            np.copyto(best_weights, weights, where=improved[..., None])
             np.copyto(best_biases, biases, where=improved)
-    return _assemble(best_weights, best_biases, rep, ds)
+    return best_weights, best_biases, failed
 
 
 def train_logistic(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Model:

@@ -7,11 +7,14 @@ trains on the identical noisy training sets, which is what makes the
 per-split accuracies a matched sample for the pairwise paired t-tests.
 Each split's representation depends only on its training features, so it
 is built once, before any training, and shared by every noise rate and
-method; one that cannot be built raises.  Failures inside one cell
-(training or scoring) are caught and recorded on that method's report
-instead of aborting the sweep.  Cells are mutually independent; this
-implementation runs them sequentially, and report order always follows the
-config regardless of how cells would be scheduled.
+method; one that cannot be built raises.  The noisy training sets of every
+rate are drawn before any training, since noise does not depend on the
+method.  Each method then trains on all of its cells in one call
+(:func:`train_cells`): the hinge cells are stepped together in one batched
+loop, the other methods' cells one after another.  Failures inside one
+cell (training or scoring) are caught and recorded on that method's report
+instead of aborting the sweep.  Cells are mutually independent, and report
+order always follows the config regardless of how cells are scheduled.
 """
 
 import json
@@ -21,7 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineConfig, train_hinge, train_logistic, train_square
+from .baselines import (
+    BaselineConfig,
+    train_hinge,
+    train_hinge_batch,
+    train_logistic,
+    train_square,
+)
 from .correntropy import DEFAULT_SIGMA_FLOOR, SigmaPolicy
 from .dataset import Dataset, SplitSpec, inject_label_noise, kfold, load_csv, split, write_csv
 from .evaluation import (
@@ -316,6 +325,36 @@ def train_method(method: MethodSpec, ds: Dataset, rep: Representation):
     return trainer(ds, rep, method.baseline_config())
 
 
+def train_cells(
+    method: MethodSpec, splits: list[tuple[Representation, list[Dataset]]]
+) -> list[list]:
+    """Train one method on every cell: ``splits`` pairs a representation with its training sets.
+
+    Returns, per split and per training set, the model or the exception its
+    training raised, so that one failing cell does not stop the others.  The
+    hinge cells are stepped together by :func:`train_hinge_batch`; every
+    other method trains cell by cell through :func:`train_method`.
+    """
+    if method.name == "hinge":
+        return train_hinge_batch(splits, method.baseline_config())
+    return [[_train_or_error(method, ds, rep) for ds in datasets] for rep, datasets in splits]
+
+
+def _train_or_error(method: MethodSpec, ds: Dataset, rep: Representation):
+    """:func:`train_method`, or the exception it raised."""
+    try:
+        return train_method(method, ds, rep)
+    except Exception as exc:  # cell isolation: the caller reports it
+        return exc
+
+
+def _model(result):
+    """The model of one :func:`train_cells` result; a training failure is raised again."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def select_alpha_by_cv(
     method: MethodSpec,
     ds: Dataset,
@@ -335,10 +374,11 @@ def select_alpha_by_cv(
     best_alpha, best_score = None, -np.inf
     for alpha in grid:
         candidate = replace(method, alpha=float(alpha))
-        scores = []
-        for (inner_train, inner_test), rep in zip(pairs, reps):
-            model = train_method(candidate, inner_train, rep)
-            scores.append(accuracy(predict_labels(model, inner_test.features), inner_test.labels))
+        trained = train_cells(candidate, [(rep, [tr]) for rep, (tr, _) in zip(reps, pairs)])
+        scores = [
+            accuracy(predict_labels(_model(result), test.features), test.labels)
+            for (result,), (_, test) in zip(trained, pairs)
+        ]
         mean_score = float(np.mean(scores))
         if mean_score > best_score:
             best_alpha, best_score = float(alpha), mean_score
@@ -370,21 +410,24 @@ def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
     # pristine test labels, used to assert noise never leaks into test data
     test_fingerprints = [test.labels.tobytes() for _, test in folds]
 
+    # noise is seeded per (rate, split), so every method sees the same noisy sets
+    noisy_trains = [
+        [inject_label_noise(tr, rate, child_seed(cfg.seed, 2, r_idx, s))
+         for r_idx, rate in enumerate(cfg.noise_rates)]
+        for s, (tr, _) in enumerate(folds)
+    ]
+    trained = [train_cells(method, list(zip(reps, noisy_trains))) for method in cfg.methods]
+
     reports: list[EvalReport] = []
     for r_idx, rate in enumerate(cfg.noise_rates):
-        noisy_trains = [
-            inject_label_noise(tr, rate, child_seed(cfg.seed, 2, r_idx, s))
-            for s, (tr, _) in enumerate(folds)
-        ]
         rate_reports: list[EvalReport] = []
-        for method in cfg.methods:
+        for method, cells in zip(cfg.methods, trained):
             per_split: list[float] = []
             pooled: list[tuple[np.ndarray, np.ndarray]] = []  # one-vs-rest (scores, truth)
             errors: list[str] = []
-            for s, (noisy, rep, (_, test)) in enumerate(zip(noisy_trains, reps, folds)):
+            for s, (_, test) in enumerate(folds):
                 try:
-                    model = train_method(method, noisy, rep)
-                    scores = score_matrix(model, test.features)
+                    scores = score_matrix(_model(cells[s][r_idx]), test.features)
                     per_split.append(accuracy(np.argmax(scores, axis=1) + 1, test.labels))
                     pooled.append(multiclass_binary_scores(scores, test.labels, cfg.positive_class))
                 except Exception as exc:  # cell isolation: record, keep sweeping

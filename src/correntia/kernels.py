@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correntropy import _check_width
+
 __all__ = [
     "KernelSpec",
     "Representation",
@@ -27,7 +29,11 @@ KERNEL_KINDS = ("linear", "rbf")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel function: ``linear`` (dot product) or ``rbf`` with a float bandwidth."""
+    """A kernel function: ``linear`` (dot product) or ``rbf`` with a float bandwidth.
+
+    An rbf bandwidth must be > 0, and ``2 * bandwidth**2`` must not underflow
+    to 0 (the same check as a correntropy sigma).
+    """
 
     kind: str
     bandwidth: float | None = None
@@ -41,6 +47,8 @@ class KernelSpec:
             object.__setattr__(self, "bandwidth", float(self.bandwidth))
         if self.kind == "rbf" and (self.bandwidth is None or not self.bandwidth > 0):
             raise ValueError(f"rbf kernel needs bandwidth > 0, got {self.bandwidth}")
+        if self.kind == "rbf":
+            _check_width("rbf kernel bandwidth", self.bandwidth)
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,8 @@ def gram(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     from scipy.spatial.distance import cdist
 
     sq = cdist(rows, cols, metric="sqeuclidean")
-    return np.exp(-sq / (2.0 * spec.bandwidth**2))
+    with np.errstate(over="ignore"):  # a quotient of -inf gives the exact limit 0
+        return np.exp(-sq / (2.0 * spec.bandwidth**2))
 
 
 def represent_matrix(X: np.ndarray, rep: Representation) -> np.ndarray:

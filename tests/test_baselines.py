@@ -9,7 +9,9 @@ from correntia import (
     BaselineConfig,
     Dataset,
     KernelSpec,
+    inject_label_noise,
     kernel_representation,
+    kfold,
     label_indicator,
     linear_representation,
     median_bandwidth,
@@ -17,6 +19,7 @@ from correntia import (
     predict_labels,
     represent_matrix,
     train_hinge,
+    train_hinge_batch,
     train_logistic,
     train_square,
 )
@@ -230,6 +233,63 @@ class TestHingeMatchesPerClassLoop:
             per_class_hinge(ds, linear_representation(), cfg)
         with pytest.raises(FloatingPointError, match=r"class 2: hinge objective became non-finite"):
             train_hinge(ds, linear_representation(), cfg)
+
+
+class TestHingeBatch:
+    """Cells stepped together against their lone :func:`train_hinge` fits, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["linear", "rbf"])
+    def test_batch_is_bit_identical_to_lone_fits(self, mode):
+        # 63 rows in 4 folds: training sets of 47 and 48 rows, two stacked groups
+        ds = noisy_blobs(3, 21, 2, seed=11)
+        splits = []
+        for s, (train, _) in enumerate(kfold(ds, 4, seed=3)):
+            if mode == "linear":
+                rep = linear_representation()
+            else:
+                spec = KernelSpec("rbf", median_bandwidth(train.features))
+                rep = kernel_representation(train.features, spec)
+            noisy = [inject_label_noise(train, rate, seed=10 * s + r)
+                     for r, rate in enumerate((0.0, 0.2, 0.4))]
+            splits.append((rep, noisy))
+        assert sorted({datasets[0].n_samples for _, datasets in splits}) == [47, 48]
+        cfg = BaselineConfig(alpha=0.05, max_iters=150)
+        batched = train_hinge_batch(splits, cfg)
+        assert [len(models) for models in batched] == [3] * 4
+        for (rep, datasets), models in zip(splits, batched):
+            for cell, model in zip(datasets, models):
+                lone = train_hinge(cell, rep, cfg)
+                assert np.array_equal(model.weights, lone.weights)
+                assert np.array_equal(model.biases, lone.biases)
+                assert model.class_map == lone.class_map and model.representation is rep
+                weights, biases = per_class_hinge(cell, rep, cfg)
+                np.testing.assert_allclose(model.weights, weights, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(model.biases, biases, rtol=0, atol=1e-12)
+
+    def test_a_diverging_cell_leaves_the_others_alone(self):
+        # the dataset of test_non_finite_error_names_the_diverging_class, batched
+        # with label sets (and one more split) whose subgradients stay zero
+        features = [[1.0], [-1.0], [2.0], [-2.0]]
+        diverging = tiny_dataset(features, [1, 1, 2, 3], 3)
+        healthy = [tiny_dataset(features, [1, 1, 2, 2], 3), tiny_dataset(features, [2, 2, 1, 1], 3)]
+        other = tiny_dataset([[0.0], [0.0], [0.0], [3.0], [-3.0]], [1, 2, 3, 1, 1], 3)
+        rep = linear_representation()
+        cfg = BaselineConfig(alpha=1e6, max_iters=500, step_size=10.0)
+        (first, *rest), (last,) = train_hinge_batch(
+            [(rep, [diverging, *healthy]), (rep, [other])], cfg
+        )
+        assert isinstance(first, FloatingPointError)
+        assert str(first) == "class 2: hinge objective became non-finite (step size too large?)"
+        for cell, model in zip([*healthy, other], [*rest, last]):
+            lone = train_hinge(cell, rep, cfg)
+            assert np.array_equal(model.weights, lone.weights)
+            assert np.array_equal(model.biases, lone.biases)
+
+    def test_datasets_of_one_split_must_share_features(self):
+        a = tiny_dataset([[1.0], [-1.0]], [1, 2], 2)
+        b = tiny_dataset([[1.0], [-2.0]], [1, 2], 2)
+        with pytest.raises(ValueError, match="split 0: the datasets of one split must share"):
+            train_hinge_batch([(linear_representation(), [a, b])], BaselineConfig())
 
 
 class TestTrainLogistic:

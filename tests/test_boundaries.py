@@ -58,6 +58,7 @@ def _mutated_model_text(mutation) -> str:
 @settings(max_examples=100, deadline=None)
 @given(model_mutations)
 @example(("truncate", len(VALID_MODEL) // 2))
+@example(("set", ("kernel", "bandwidth"), 1e-300))
 def test_model_file_loads_or_fails_with_one_error_line(mutation):
     with tempfile.TemporaryDirectory() as tmp:
         model_path, data, out = Path(tmp) / "model.json", Path(tmp) / "x.csv", Path(tmp) / "p.csv"

@@ -255,6 +255,8 @@ class TestErrors:
              "fixed sigma 1e-300 is too small: 2 * 1e-300**2 underflows to 0"),
             (["--sigma-floor", "1e-300"],
              "sigma floor 1e-300 is too small: 2 * 1e-300**2 underflows to 0"),
+            (["--representation", "kernel", "--bandwidth", "1e-300"],
+             "rbf kernel bandwidth 1e-300 is too small: 2 * 1e-300**2 underflows to 0"),
         ],
     )
     def test_nan_hyperparameter_is_one_line_error(self, tmp_path, blob_csv, flags, message, capsys):

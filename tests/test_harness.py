@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from correntia import harness, regmaxcem
+from correntia import baselines, harness, regmaxcem
 from correntia import (
     BaselineConfig,
     DataSpec,
@@ -27,12 +27,15 @@ from correntia import (
     generate_synthetic,
     inject_label_noise,
     linear_representation,
+    load_csv,
     pr_curve,
     predict_labels,
     roc_curve,
     run_experiment,
     split,
+    train_hinge,
     train_square,
+    write_csv,
 )
 from correntia.harness import (
     ALPHA_GRID,
@@ -161,7 +164,7 @@ class TestRunExperiment:
         ]
         assert [(r.noise_rate, r.method) for r in reports] == expected
 
-    def test_cell_failures_are_isolated(self):
+    def test_cell_failures_are_isolated(self, tmp_path):
         # a fixed sigma of 1e-8 underflows every auxiliary weight after round 1
         cfg = blob_config(
             methods=(MethodSpec("regmaxcem", sigma=1e-8), MethodSpec("square")),
@@ -176,6 +179,45 @@ class TestRunExperiment:
         assert healthy.method == "square"
         assert not healthy.errors
         assert len(healthy.per_split_accuracies) == 2
+
+        # hinge cells are stepped in one batch, and still fail one by one.  All
+        # rows sit at 0 but a +-1 pair of class 1, whose subgradients cancel
+        # while both rows are in a training half with one label; otherwise
+        # alpha=1e6 and step_size=10 overshoot the weights to infinity.  Split
+        # 3's training half holds one row of the pair, split 2's holds both and
+        # noise 0.3 relabels one of them, splits 0 and 1 stay healthy.
+        data = tmp_path / "pair.csv"
+        write_csv(data, ["x", "y"], [(0.0, 1 + i % 2) for i in range(20)] + [(1.0, 1), (-1.0, 1)])
+        hinge = MethodSpec("hinge", alpha=1e6, step_size=10.0, iters=50)
+        cfg = blob_config(
+            methods=(hinge, MethodSpec("square")),
+            noise_rates=(0.0, 0.3),
+            seed=1,
+            synthetic=None,
+            data=DataSpec(str(data), "y"),
+        )
+        reports = run_experiment(cfg)
+        failure = "class 1: hinge objective became non-finite (step size too large?)"
+        assert [(r.method, r.noise_rate, r.errors) for r in reports] == [
+            ("hinge", 0.0, (f"method=hinge noise=0.0 split=3: {failure}",)),
+            ("square", 0.0, ()),
+            ("hinge", 0.3, (f"method=hinge noise=0.3 split=2: {failure}",
+                            f"method=hinge noise=0.3 split=3: {failure}")),
+            ("square", 0.3, ()),
+        ]
+        ds = load_csv(data, "y")
+        for r_idx, report in enumerate(reports[::2]):
+            lone_accuracies = []
+            for s in range(4):
+                train_ds, test = split(ds, SplitSpec(0.5, child_seed(cfg.seed, 1, s)))
+                seed = child_seed(cfg.seed, 2, r_idx, s)
+                noisy = inject_label_noise(train_ds, report.noise_rate, seed)
+                try:
+                    model = train_hinge(noisy, linear_representation(), hinge.baseline_config())
+                except FloatingPointError:
+                    continue
+                lone_accuracies.append(accuracy(predict_labels(model, test.features), test.labels))
+            assert report.per_split_accuracies == tuple(lone_accuracies)
 
     def test_pipeline_is_deterministic(self):
         cfg = blob_config()
@@ -200,10 +242,15 @@ class TestRunExperiment:
             protocol=ProtocolSpec("kfold", k=3),
             noise_rates=(0.0, 0.2),
         )
+        trained = count_calls(monkeypatch, harness, "train_method")
+        batches = count_calls(monkeypatch, baselines, "train_hinge_batch")
         reports = run_experiment(cfg)
         assert [len(r.per_split_accuracies) for r in reports] == [3] * 6
         assert len(scores) == 18
         assert len(builds) == 3
+        # the six hinge cells train in one batch, the other twelve one by one
+        assert len(trained) == 12 and {args[0].name for args in trained} == {"regmaxcem", "square"}
+        assert [[len(datasets) for _, datasets in args[0]] for args in batches] == [[2, 2, 2]]
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -236,6 +283,15 @@ class TestSelectAlphaByCv:
         # fully separable: every alpha scores 1.0, so the grid's head wins
         ds = generate_synthetic(SyntheticSpec(((8.0,), (-8.0,)), 0.2, 20, seed=5))
         assert select_alpha_by_cv(MethodSpec("square"), ds) == ALPHA_GRID[0]
+
+    def test_hinge_trains_all_folds_in_one_batch_per_alpha(self, monkeypatch):
+        batches = count_calls(monkeypatch, baselines, "train_hinge_batch")
+        ds = generate_synthetic(SyntheticSpec(((2.0, 0.0), (-2.0, 0.0)), 1.0, 25, seed=4))
+        grid = (1e-3, 1e-1)
+        picked = select_alpha_by_cv(MethodSpec("hinge", iters=50), ds, folds=5, grid=grid)
+        assert picked in grid
+        assert [[len(datasets) for _, datasets in args[0]] for args in batches] == [[1] * 5] * 2
+        assert [args[1].alpha for args in batches] == list(grid)
 
     def test_one_representation_per_fold(self, monkeypatch):
         builds = count_calls(monkeypatch, harness, "build_representation")

@@ -38,6 +38,15 @@ class TestKernelEval:
             KernelSpec("rbf", math.nan)
         with pytest.raises(ValueError, match="bandwidth"):
             KernelSpec("rbf")
+        with pytest.raises(ValueError, match=r"1e-300 is too small: 2 \* 1e-300\*\*2 underflows"):
+            KernelSpec("rbf", 1e-300)
+        with pytest.raises(ValueError, match="underflows"):
+            KernelSpec("rbf", 1.2e-162)  # 2.0 * 1.2e-162 * 1.2e-162 is not 0, but **2 is
+
+    def test_rbf_tiny_bandwidth_gives_the_exact_limit_without_a_warning(self):
+        # 2 * 1e-160**2 is subnormal, not 0: far points overflow the quotient to -inf
+        values = gram(KernelSpec("rbf", 1e-160), [[0.0], [1.0]], [[0.0], [1.0]])
+        np.testing.assert_array_equal(values, np.eye(2))
 
 
 class TestRepresent:
