@@ -21,17 +21,26 @@ equivalent formulation used here).  The very first weight update sees the
 uniform auxiliary matrix and uses the plain ridge parameter, which makes
 it coincide with the closed-form square-loss baseline.
 
+The weight update picks one of two equivalent forms by shape alone.  With
+fewer represented dimensions ``D'`` than samples ``N`` it factors one
+``D' x D'`` system per class.  Otherwise, which is every kernel fit, it
+factors one ``N x N`` system per class, each a rescaled and rank-2
+centered copy of a single Gram matrix of the columns that ``train``
+builds once per fit: O(N^3) once, then O(L N^3 / 3) per round for the
+Cholesky factors.
+
 Training is deterministic: the per-class ridge solves are independent and
 run one after another, and reruns with the same BLAS thread count give
 identical models.  Every matrix product of training and scoring large
 enough for BLAS to thread runs on the BLAS that scipy links (``dgemm``,
-``dgemv``, ``dsyrk``, the Cholesky factor and solve), not through numpy's
-``@``; only per-class dot products and the ``alpha = 0`` least-squares
-solve stay on numpy.  The numpy and scipy wheels each bundle their own
-OpenBLAS, each with its own thread pool, and OpenBLAS workers keep
-spinning for a while after a call: switching libraries within a round
-left one pool's idle workers taking the CPUs from the other's busy ones,
-which made kernel training at two threads about twice as slow as at one.
+``dgemv``, ``dsyrk``, ``dsyr2``, the Cholesky factor and solve), not
+through numpy's ``@``; only per-class dot products and the ``alpha = 0``
+least-squares solve stay on numpy.  The numpy and scipy wheels each
+bundle their own OpenBLAS, each with its own thread pool, and OpenBLAS
+workers keep spinning for a while after a call: switching libraries
+within a round left one pool's idle workers taking the CPUs from the
+other's busy ones, which made kernel training at two threads about twice
+as slow as at one.
 Each product still uses the BLAS threads (``OPENBLAS_NUM_THREADS``), and a
 different thread count can move the last bits of the parameters (a few
 1e-12 on a 660-anchor kernel model).
@@ -47,7 +56,7 @@ import numpy as np
 # Kept at module level: deferred into m_step, its ~0.25 s import would land
 # inside the first train() call instead of at `import correntia`.
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dgemm, dgemv, dsyrk
+from scipy.linalg.blas import dgemm, dgemv, dsyr2, dsyrk
 
 from .correntropy import SigmaPolicy, g_sigma, objective, sigma_heuristic
 from .dataset import Dataset, label_indicator
@@ -192,7 +201,30 @@ def e_step(scores: np.ndarray, indicator: np.ndarray, sigma: float) -> AuxMatrix
     return -g_sigma(scores - indicator, sigma)
 
 
-def m_step(aux: AuxMatrix, represented: np.ndarray, indicator: np.ndarray, alpha: float):
+def shifted_gram(represented: np.ndarray) -> np.ndarray:
+    """Lower triangle of ``S.T @ S`` for the columns ``S`` of ``represented``
+    shifted by their unweighted mean, an ``N x N`` matrix built by one ``dsyrk``.
+
+    ``m_step`` solves through it when ``D' >= N``; ``train`` builds it once
+    per fit and passes it to every round.
+    """
+    return dsyrk(1.0, _shift(represented), trans=1, lower=1)
+
+
+def _shift(represented: np.ndarray) -> np.ndarray:
+    """The columns minus their unweighted mean, in Fortran order."""
+    represented = np.asfortranarray(represented, dtype=np.float64)
+    return represented - represented.mean(axis=1)[:, None]
+
+
+def m_step(
+    aux: AuxMatrix,
+    represented: np.ndarray,
+    indicator: np.ndarray,
+    alpha: float,
+    *,
+    gram: np.ndarray | None = None,
+):
     """Per-class weighted ridge solve given auxiliary weights.
 
     For every class ``l``, with ``u_i^2 = -aux[l, i] / N``, returns the
@@ -202,23 +234,39 @@ def m_step(aux: AuxMatrix, represented: np.ndarray, indicator: np.ndarray, alpha
 
     over represented columns ``x_i`` and indicator targets ``y_i``.
     Centering uses the ``u^2``-weighted means of samples and targets, which
-    is what makes the bias gradient vanish exactly.  The ``D' x D'`` system
-    is built, lower triangle only, by one symmetric rank-k update of the
-    centered columns scaled by ``u``.  With ``alpha > 0`` it is symmetric
-    positive definite in exact arithmetic and solved by Cholesky; with
-    ``alpha = 0`` a least-squares solve is used instead (no definiteness
-    guarantee).  The inputs are never modified.
+    is what makes the bias gradient vanish exactly.  With ``A`` the centered
+    columns scaled by ``u``, the solution is ``w = (A A^T + alpha I)^-1 A t``
+    for the scaled, centered targets ``t``, which equals ``A (A^T A + alpha
+    I)^-1 t``.  The form is chosen by shape only:
+
+    * ``D' < N`` (feature space): the ``D' x D'`` system ``A A^T`` is built,
+      lower triangle only, by one ``dsyrk`` per class and the right-hand
+      side by one ``dgemv``.
+    * ``D' >= N`` (sample space, every kernel fit): the columns are shifted
+      by their unweighted mean, so that large offsets do not cancel, and
+      their ``N x N`` Gram is built by one ``dsyrk`` (see ``gram``).
+      Per class it is rescaled to ``diag(u) G diag(u)``, centered on the
+      weighted mean by one rank-2 ``dsyr2`` update, solved for ``beta``,
+      and ``w = A beta`` is recovered by one ``dgemv``.
+
+    With ``alpha > 0`` each system is symmetric positive definite in exact
+    arithmetic and solved by Cholesky; with ``alpha = 0`` a least-squares
+    solve is used instead (no definiteness guarantee), and both forms give
+    the minimum-norm solution.  The inputs are never modified.
 
     Parameters
     ----------
     aux : ndarray of shape (L, N)
-        Auxiliary matrix with entries in [-1, 0).
+        Auxiliary matrix with finite entries <= 0 (in [-1, 0) from ``e_step``).
     represented : ndarray of shape (D', N)
         Represented training samples, one column per sample.
     indicator : ndarray of shape (L, N)
         +-1 indicator targets.
     alpha : float
         Ridge parameter (>= 0).
+    gram : ndarray of shape (N, N), optional
+        ``shifted_gram(represented)``, used by the sample-space form only;
+        built here when omitted.  ``train`` builds it once per fit.
 
     Returns
     -------
@@ -227,13 +275,15 @@ def m_step(aux: AuxMatrix, represented: np.ndarray, indicator: np.ndarray, alpha
     Raises
     ------
     ValueError
-        If ``alpha < 0`` or the shapes disagree.
+        If ``alpha < 0``, the shapes disagree, an input is not finite
+        (the argument is named) or an ``aux`` entry is positive.
     DegenerateClassError
         If a class's auxiliary weights sum below 1e-12 (every sample
         down-weighted to numerical zero); the first such class is named.
     FloatingPointError
         If a system with ``alpha > 0`` is numerically not positive definite
-        (near-singular data with a tiny ``alpha``); the class is named.
+        (near-singular data with a tiny ``alpha``), or a system overflowed
+        (finite features too large to square); the class is named.
     """
     aux = np.asarray(aux, dtype=np.float64)
     # One memory order for every caller (``train`` already passes Fortran
@@ -248,6 +298,13 @@ def m_step(aux: AuxMatrix, represented: np.ndarray, indicator: np.ndarray, alpha
         raise ValueError(f"represented has {represented.shape[1]} columns, expected {n}")
     if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
+    for name, value in (("aux", aux), ("represented", represented), ("indicator", indicator)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+    positive = np.argwhere(aux > 0)
+    if positive.size:
+        l, i = positive[0]
+        raise ValueError(f"aux entries must be <= 0, got {float(aux[l, i])!r} in class {l + 1}")
     dim = represented.shape[0]
 
     u_sq = -aux / n
@@ -263,30 +320,67 @@ def m_step(aux: AuxMatrix, represented: np.ndarray, indicator: np.ndarray, alpha
     # the near-tied biases of a collapsed model depend on those last bits.
     y_means = (indicator[:, None, :] @ u_sq[:, :, None]).ravel() / totals
 
+    sample_space = dim >= n
+    if sample_space:
+        shifted = _shift(represented)
+        if gram is None:
+            gram = shifted_gram(represented)
+        elif gram.shape != (n, n):
+            raise ValueError(f"gram has shape {gram.shape}, expected {(n, n)}")
+        # Weighted means of the shifted columns (D' x L); with g = S^T d and
+        # c = d @ d, centering the Gram subtracts 1 h^T + h 1^T for h = g - c/2.
+        shift_means = dgemm(1.0, u_sq.T, shifted, trans_a=1, trans_b=1).T / totals
+        with np.errstate(over="ignore", invalid="ignore"):  # caught on the diagonal
+            halves = dgemm(1.0, shifted, shift_means, trans_a=1)
+            halves -= 0.5 * np.sum(shift_means**2, axis=0)
+        system = np.empty((n, n), order="F")  # one buffer, rescaled and factored per class
+
     weights = np.empty((num_classes, dim))
     biases = np.empty(num_classes)
-    diagonal = np.diag_indices(dim)
     for l in range(num_classes):
-        scaled = represented - x_means[:, l, None]
-        scaled *= u[l]
-        rhs = dgemv(1.0, scaled, u[l] * (indicator[l] - y_means[l]))
-        system = dsyrk(1.0, scaled, lower=1)  # scaled @ scaled.T, lower triangle only
-        if alpha > 0:
-            system[diagonal] += alpha
-            try:
-                factor = cho_factor(system, lower=True, overwrite_a=True)
-            except np.linalg.LinAlgError as exc:
-                raise FloatingPointError(
-                    f"class {l + 1}: the weighted ridge system is not positive definite; "
-                    f"alpha={alpha!r} is too small for near-singular data, use a larger alpha"
-                ) from exc
-            w = cho_solve(factor, rhs)
+        if sample_space:
+            np.multiply(gram, u[l][:, None], out=system)
+            system *= u[l]
+            system = dsyr2(-1.0, u[l], u[l] * halves[:, l], lower=1, a=system, overwrite_a=1)
+            scaled_beta = u[l] * _ridge_solve(system, u[l] * (indicator[l] - y_means[l]), alpha, l)
+            # w = A beta.  The sum is zero in exact arithmetic, but once a
+            # class is down-weighted w is a small difference of large terms
+            # and the rounded sum carries the cancellation.
+            w = dgemv(1.0, shifted, scaled_beta, beta=-scaled_beta.sum(), y=shift_means[:, l])
         else:
-            system = np.tril(system) + np.tril(system, -1).T
-            w, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+            scaled = represented - x_means[:, l, None]
+            scaled *= u[l]
+            rhs = dgemv(1.0, scaled, u[l] * (indicator[l] - y_means[l]))
+            system = dsyrk(1.0, scaled, lower=1)  # scaled @ scaled.T, lower triangle only
+            w = _ridge_solve(system, rhs, alpha, l)
         weights[l] = w
         biases[l] = y_means[l] - w @ x_means[:, l]
     return weights, biases
+
+
+def _ridge_solve(system: np.ndarray, rhs: np.ndarray, alpha: float, l: int) -> np.ndarray:
+    """Solve ``(system + alpha I) x = rhs`` for class index ``l``, given the
+    lower triangle of a symmetric ``system``, which is overwritten."""
+    # The system is a scaled Gram matrix, so an overflow anywhere in it shows
+    # on its diagonal; the factorization skips its own finiteness scan and
+    # would return zeros or NaN.
+    if not np.all(np.isfinite(system.diagonal())):
+        raise FloatingPointError(
+            f"class {l + 1}: the weighted ridge system overflowed; "
+            f"the represented features are too large, rescale them"
+        )
+    if alpha > 0:
+        system[np.diag_indices(len(system))] += alpha
+        try:
+            factor = cho_factor(system, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise FloatingPointError(
+                f"class {l + 1}: the weighted ridge system is not positive definite; "
+                f"alpha={alpha!r} is too small for near-singular data, use a larger alpha"
+            ) from exc
+        return cho_solve(factor, rhs, check_finite=False)
+    system = np.tril(system) + np.tril(system, -1).T
+    return np.linalg.lstsq(system, rhs, rcond=None)[0]
 
 
 def train(ds: Dataset, cfg: TrainConfig) -> tuple[Model, TrainTrace]:
@@ -312,9 +406,11 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[Model, TrainTrace]:
     prev_w = np.zeros((ds.num_classes, represented.shape[0]))
     prev_b = np.zeros(ds.num_classes)
     records = []
+    # One Gram for every round's sample-space solve (see m_step)
+    gram = shifted_gram(represented) if represented.shape[0] >= n else None
 
     for _ in range(cfg.max_iters):
-        weights, biases = m_step(aux, represented, indicator, ridge)
+        weights, biases = m_step(aux, represented, indicator, ridge, gram=gram)
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
             raise FloatingPointError(
                 "non-finite parameters in the weight update; "

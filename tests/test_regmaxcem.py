@@ -1,5 +1,7 @@
 """Trainer internals: auxiliary update, weighted ridge step, training loop, model IO."""
 
+import ast
+import inspect
 import json
 import math
 
@@ -272,11 +274,12 @@ class TestMStep:
         np.testing.assert_allclose(w_full, w_del, atol=1e-6)
         assert b_full[0] == pytest.approx(b_del[0], abs=1e-6)
 
-    def test_degenerate_class_error_names_class(self):
+    @pytest.mark.parametrize("dim", [2, 6], ids=["tall", "wide"])
+    def test_degenerate_class_error_names_class(self, dim):
         aux = -np.ones((3, 4))
         aux[1] = -1e-40
         with pytest.raises(DegenerateClassError, match="class 2"):
-            m_step(aux, np.random.default_rng(6).standard_normal((2, 4)), label_indicator([1, 2, 3, 1], 3), 0.1)
+            m_step(aux, np.random.default_rng(6).standard_normal((dim, 4)), label_indicator([1, 2, 3, 1], 3), 0.1)
 
     def test_stationarity_by_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -311,15 +314,22 @@ class TestMStep:
                 assert abs(grad) <= 1e-6 * (1 + abs(base))
 
     @pytest.mark.parametrize(
-        "shape, alpha",
+        "shape, alpha, offset, positive_scale",
         [
-            pytest.param((50, 2000, 10), 0.01, id="tall-linear"),
-            pytest.param("rbf-gram", 0.01, id="square-kernel"),
-            pytest.param((40, 25, 3), 0.1, id="wide"),
-            pytest.param((6, 300, 4), 0.0, id="alpha-zero"),
+            pytest.param((50, 2000, 10), 0.01, 0.0, 1.0, id="tall-linear"),
+            pytest.param("rbf-gram", 0.01, 0.0, 1.0, id="square-kernel"),
+            pytest.param((40, 25, 3), 0.1, 0.0, 1.0, id="wide"),
+            pytest.param((6, 300, 4), 0.0, 0.0, 1.0, id="alpha-zero"),
+            # the sample-space form shifts the columns before its Gram, so a
+            # large common offset must not cancel away the centered values
+            pytest.param((40, 25, 3), 0.1, 1e4, 1.0, id="wide-offset"),
+            pytest.param((40, 25, 3), 0.0, 0.0, 1.0, id="wide-alpha-zero"),
+            # every positive sample down-weighted, as in a class about to be
+            # absorbed: w is then a small difference of large terms
+            pytest.param((40, 25, 3), 0.1, 0.0, 1e-12, id="wide-down-weighted"),
         ],
     )
-    def test_matches_gemm_formula(self, shape, alpha):
+    def test_matches_gemm_formula(self, shape, alpha, offset, positive_scale):
         rng = np.random.default_rng(13)
         if shape == "rbf-gram":
             points = rng.standard_normal((200, 2))
@@ -327,8 +337,9 @@ class TestMStep:
             represented, num_classes = represent_matrix(points, rep).T, 3
         else:
             dim, n, num_classes = shape
-            represented = rng.standard_normal((dim, n))
+            represented = rng.standard_normal((dim, n)) + offset
         aux, indicator = random_aux_and_indicator(rng, num_classes, represented.shape[1])
+        aux = np.where(indicator > 0, positive_scale * aux, aux)
         weights, biases = m_step(aux, represented, indicator, alpha)
         w_ref, b_ref = gemm_m_step(aux, represented, indicator, alpha)
         np.testing.assert_allclose(weights, w_ref, rtol=1e-10)
@@ -350,18 +361,67 @@ class TestMStep:
             np.testing.assert_array_equal(w, weights)
             np.testing.assert_array_equal(b, biases)
 
-    def test_first_degenerate_class_is_named(self):
+    @pytest.mark.parametrize("dim", [3, 30], ids=["tall", "wide"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    @pytest.mark.parametrize("name", ["aux", "represented", "indicator"])
+    def test_non_finite_input_is_named(self, name, alpha, dim, capfd):
+        rng = np.random.default_rng(16)
+        args = {"represented": rng.standard_normal((dim, 20))}
+        args["aux"], args["indicator"] = random_aux_and_indicator(rng, 2, 20)
+        args[name][1, 3] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            m_step(alpha=alpha, **args)
+        assert capfd.readouterr().err == ""  # no LAPACK parameter complaints
+
+    @pytest.mark.parametrize("dim", [3, 30], ids=["tall", "wide"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_overflowing_system_is_named(self, alpha, dim, capfd):
+        # finite features whose squares overflow: the factorization skips its
+        # own finiteness scan, so the system must be checked before it
+        rng = np.random.default_rng(19)
+        aux, indicator = random_aux_and_indicator(rng, 2, 20)
+        with pytest.raises(FloatingPointError, match="^class 1: the weighted ridge system overflowed"):
+            m_step(aux, 1e200 * rng.standard_normal((dim, 20)), indicator, alpha)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("value, text", [(0.5, "0.5"), (1e-300, "1e-300")])
+    def test_positive_aux_entry_rejected(self, value, text):
+        rng = np.random.default_rng(17)
+        aux, indicator = random_aux_and_indicator(rng, 2, 20)
+        aux[1, 7] = value
+        with pytest.raises(ValueError, match=f"^aux entries must be <= 0, got {text} in class 2$"):
+            m_step(aux, rng.standard_normal((3, 20)), indicator, 0.1)
+
+    @pytest.mark.parametrize("dim", [2, 6], ids=["tall", "wide"])
+    def test_first_degenerate_class_is_named(self, dim):
         aux = -np.ones((3, 4))
         aux[1:] = -1e-40
         with pytest.raises(DegenerateClassError, match="class 2") as info:
-            m_step(aux, np.random.default_rng(6).standard_normal((2, 4)), label_indicator([1, 2, 3, 1], 3), 0.1)
+            m_step(aux, np.random.default_rng(6).standard_normal((dim, 4)), label_indicator([1, 2, 3, 1], 3), 0.1)
         assert info.value.class_index == 2
 
-    def test_near_singular_system_raises_floating_point_error(self):
-        x = np.random.default_rng(15).standard_normal(40)
-        ds = Dataset(np.stack([x, 2 * x, x], axis=1), np.array([1, 2] * 20), 2)
+    @pytest.mark.parametrize("n, copies", [(40, 1), (10, 4)], ids=["tall", "wide"])
+    def test_near_singular_system_raises_floating_point_error(self, n, copies):
+        # rank-one features: 3 columns for 40 rows, or 12 columns for 10 rows
+        x = np.random.default_rng(15).standard_normal(n)
+        ds = Dataset(np.stack([x, 2 * x, x] * copies, axis=1), np.array([1, 2] * (n // 2)), 2)
         with pytest.raises(FloatingPointError, match="class 1.*larger alpha"):
             train(ds, TrainConfig(alpha=1e-20))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    def test_precomputed_gram_changes_nothing(self, alpha):
+        rng = np.random.default_rng(18)
+        represented = rng.standard_normal((30, 20)) + 3.0
+        aux, indicator = random_aux_and_indicator(rng, 3, 20)
+        gram = regmaxcem.shifted_gram(represented)
+        for a in (represented, gram):
+            a.setflags(write=False)  # neither is written to
+        given = m_step(aux, represented, indicator, alpha, gram=gram)
+        built = m_step(aux, represented, indicator, alpha)
+        for a, b in zip(given, built):
+            np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError, match=r"gram has shape \(19, 19\), expected \(20, 20\)"):
+            m_step(aux, represented, indicator, alpha, gram=gram[1:, 1:])
 
     @pytest.mark.parametrize(
         "field, message",
@@ -372,6 +432,20 @@ class TestMStep:
         # NaN fails every comparison, so each check must be written to fail on it
         with pytest.raises(ValueError, match=f"{message}, got nan"):
             TrainConfig(**{field: math.nan})
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls to the named BLAS routines as ``regmaxcem`` binds them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(regmaxcem, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(regmaxcem, name, counting)
+    return counts
 
 
 def two_blob_dataset(seed=0, n_per_class=30, gap=4.0):
@@ -438,21 +512,45 @@ class TestTrain:
     def test_products_run_on_scipy_blas(self, monkeypatch):
         # numpy and scipy each load their own BLAS; a product left on numpy's
         # makes the two thread pools compete for the CPUs
-        counts = {"dgemm": 0, "dgemv": 0}
-        for name in counts:
-            real = getattr(regmaxcem, name)
-
-            def counting(*args, _real=real, _name=name, **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(regmaxcem, name, counting)
+        counts = count_calls(monkeypatch, "dgemm", "dgemv")
         ds = two_blob_dataset(seed=8)
         model, _ = train(ds, TrainConfig(max_iters=3, tol=0.0))
         # per round: class means and scores by dgemm, one right-hand side per class by dgemv
         assert counts == {"dgemm": 6, "dgemv": 6}
         score_matrix(model, ds.features)
         assert counts == {"dgemm": 7, "dgemv": 6}
+
+    def test_kernel_fit_builds_one_gram(self, monkeypatch):
+        # D' >= N: the N x N Gram of the shifted columns is built once per fit,
+        # and each class of each round only rescales and updates it
+        counts = count_calls(monkeypatch, "dgemm", "dgemv", "dsyrk", "dsyr2")
+        ds = two_blob_dataset(seed=8)
+        rep = kernel_representation(ds.features, KernelSpec("rbf", 1.0))
+        cfg = TrainConfig(max_iters=3, tol=0.0, representation=rep)
+        train(ds, cfg)
+        # per round: class means, shifted-class means, their projections and
+        # scores by dgemm; per class, one dsyr2 centering and one dgemv recovery
+        assert counts == {"dgemm": 12, "dgemv": 6, "dsyrk": 1, "dsyr2": 6}
+        train(ds, cfg)
+        assert counts["dsyrk"] == 2
+
+    def test_no_matrix_product_runs_on_numpy(self):
+        # Every N x N (or D' x D') product goes through scipy's BLAS; numpy's
+        # own products are left only for a batched row dot and one vector dot
+        # per class.  Both libraries threading at once would contend for CPUs.
+        tree = ast.parse(inspect.getsource(regmaxcem))
+        products = {
+            ast.unparse(node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+        }
+        assert products == {"indicator[:, None, :] @ u_sq[:, :, None]", "w @ x_means[:, l]"}
+        numpy_products = {"dot", "matmul", "einsum", "inner", "outer", "tensordot", "vdot"}
+        assert not [
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in numpy_products
+        ]
 
 
 class TestEvaluateObjective:
