@@ -12,18 +12,21 @@ The hinge trainer steps all L classes together, two GEMMs per iteration
 over an L x n margin matrix, and :func:`train_hinge_batch` steps many
 cells of a sweep (noise rates x splits) in the same loop through stacked
 matmuls; :func:`train_hinge` is a batch of one.  The logistic trainer
-loops over the classes, because each class keeps its own Armijo step and
-backtracking sequence.
+takes damped Newton steps (iteratively reweighted least squares), each a
+weighted ridge solve of all L classes by the same :func:`m_step` that the
+square and correntropy trainers use; in kernel mode one Gram matrix serves
+every step of a fit.  Only the hinge trainer takes a step size.
 """
 
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .dataset import Dataset, label_indicator
 from .kernels import Representation, represent_matrix
-from .regmaxcem import Model, m_step
+from .regmaxcem import DegenerateClassError, Model, m_step, shifted_gram
 
 __all__ = ["BaselineConfig", "train_square", "train_hinge", "train_hinge_batch", "train_logistic"]
 
@@ -32,9 +35,10 @@ __all__ = ["BaselineConfig", "train_square", "train_hinge", "train_hinge_batch",
 class BaselineConfig:
     """Settings for the iterative baselines, :func:`train_hinge` and :func:`train_logistic`.
 
-    ``step_size`` seeds the hinge schedule (``step_size / sqrt(t)``) and the
-    logistic line search; ``tol`` is the logistic gradient-norm stop.  The
-    closed-form :func:`train_square` takes only ``alpha``.
+    ``step_size`` sets the hinge schedule (``step_size / sqrt(t)``) and is
+    not used by logistic, whose Newton steps need none; ``tol`` is the
+    logistic gradient-norm stop, ``||gradient|| <= tol * (1 + |loss|)`` per
+    class.  The closed-form :func:`train_square` takes only ``alpha``.
     """
 
     alpha: float = 0.01
@@ -51,6 +55,10 @@ class BaselineConfig:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if not self.tol >= 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
+
+
+# Step halvings a logistic class whose loss rose may take within one Newton step
+_HALVINGS = 30
 
 
 def _assemble(weights, biases, rep, ds) -> Model:
@@ -188,57 +196,56 @@ def _hinge_steps(represented: np.ndarray, indicator: np.ndarray, cfg: BaselineCo
 
 
 def train_logistic(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Model:
-    """Full-batch gradient descent with backtracking on the logistic loss.
+    """Damped Newton steps (IRLS) on the logistic loss, each one :func:`m_step` call.
 
-    Minimizes ``mean(log(1 + exp(-scores * indicator))) + (alpha / L) sum ||w_l||^2``.
-    The loss is evaluated through log-sum-exp and the negative-margin
-    sigmoid through ``expit``, so large scores stay stable.  Armijo
-    backtracking guarantees a monotone loss; iteration stops once the
-    gradient norm falls below ``tol * (1 + |loss|)``.
+    Minimizes ``mean(log(1 + exp(-scores * indicator))) + alpha ||w_l||^2``
+    per class.  A step fits the working responses ``f + y / expit(y f)``
+    (scores ``f``, indicator ``y``; finite where the weights underflow) with
+    the weights ``h = expit(f) expit(-f)``.  A class whose loss rises halves
+    its step, up to ``_HALVINGS`` times, so no loss rises.  Stops after
+    ``max_iters`` steps, once every class's gradient norm is at most
+    ``tol * (1 + |loss|)``, or when no loss falls.  ``step_size`` is unused.
+    Raises ``FloatingPointError`` naming a class separable at this ``alpha``.
     """
     # Local import: scipy.special adds ~0.07 s to start-up; only this baseline uses it.
     from scipy.special import expit
 
-    represented = represent_matrix(ds.features, rep)
+    represented = represent_matrix(ds.features, rep).T  # D' x n, as m_step takes it
     indicator = label_indicator(ds.labels, ds.num_classes)
-    n, dim = represented.shape
-    alpha = cfg.alpha
+    n, alpha = ds.n_samples, cfg.alpha
+    gram = shifted_gram(represented) if represented.shape[0] >= n else None  # one per fit
 
-    def value(y, w, b):
-        z = y * (represented @ w + b)
-        v = float(np.sum(np.logaddexp(0.0, -z))) / n + alpha * float(w @ w)
-        if not np.isfinite(v):
-            raise FloatingPointError("non-finite logistic loss")
-        return v
+    def scores_and_loss(w, b):
+        f = dgemm(1.0, w, represented) + b[:, None]
+        return f, np.logaddexp(0.0, -indicator * f).sum(axis=1) / n + alpha * (w * w).sum(axis=1)
 
-    weights = np.empty((ds.num_classes, dim))
-    biases = np.empty(ds.num_classes)
-    for l in range(ds.num_classes):
-        y = indicator[l]
-        w = np.zeros(dim)
-        b = 0.0
-        current = value(y, w, b)
-        step = cfg.step_size
-        for _ in range(cfg.max_iters):
-            s = expit(-(y * (represented @ w + b)))  # sigmoid of negative margin
-            grad_w = -((y * s) @ represented) / n + 2.0 * alpha * w
-            grad_b = -float(np.sum(y * s)) / n
-            grad_sq = float(grad_w @ grad_w) + grad_b * grad_b
-            if np.sqrt(grad_sq) <= cfg.tol * (1.0 + abs(current)):
+    weights, biases = np.zeros((ds.num_classes, represented.shape[0])), np.zeros(ds.num_classes)
+    scores, loss = scores_and_loss(weights, biases)
+    for _ in range(cfg.max_iters):
+        slope = indicator * expit(-indicator * scores)  # -n d(loss)/d(scores)
+        grad_w = 2.0 * alpha * weights - dgemm(1.0 / n, slope, represented, trans_b=1)
+        grad_sq = (grad_w * grad_w).sum(axis=1) + (slope.sum(axis=1) / n) ** 2
+        if np.all(np.sqrt(grad_sq) <= cfg.tol * (1.0 + np.abs(loss))):
+            break
+        h = expit(scores) * expit(-scores)
+        working = scores + indicator / expit(indicator * scores)
+        try:
+            trial_w, trial_b = m_step(-h / 2.0, represented, working, alpha, gram=gram)
+        except DegenerateClassError as exc:
+            raise FloatingPointError(
+                f"class {exc.class_index}: separable at alpha={alpha!r}, so its logistic "
+                "weights diverge; use a larger alpha or tol"
+            ) from exc
+        for _ in range(_HALVINGS):
+            trial_scores, trial = scores_and_loss(trial_w, trial_b)
+            rose = ~(trial <= loss)  # a NaN loss counts as a rise
+            if not rose.any():
                 break
-            step = min(step * 2.0, 1e8)  # warm-started, then backtracked
-            while True:
-                w_new = w - step * grad_w
-                b_new = b - step * grad_b
-                trial = value(y, w_new, b_new)
-                if trial <= current - 1e-4 * step * grad_sq:
-                    break
-                step *= 0.5
-                if step < 1e-20:
-                    break
-            if trial >= current:
-                break  # no descent direction progress left at float precision
-            w, b, current = w_new, b_new, trial
-        weights[l] = w
-        biases[l] = b
+            trial_w[rose] = (trial_w[rose] + weights[rose]) / 2.0
+            trial_b[rose] = (trial_b[rose] + biases[rose]) / 2.0
+        fell = trial < loss  # a class still rising after the last halving keeps its iterate
+        if not fell.any():
+            break
+        weights[fell], biases[fell] = trial_w[fell], trial_b[fell]
+        scores[fell], loss[fell] = trial_scores[fell], trial[fell]
     return _assemble(weights, biases, rep, ds)

@@ -257,11 +257,13 @@ def m_step(
     Parameters
     ----------
     aux : ndarray of shape (L, N)
-        Auxiliary matrix with finite entries <= 0 (in [-1, 0) from ``e_step``).
+        Auxiliary matrix with finite entries <= 0 (in [-1, 0) from ``e_step``;
+        minus half the Newton weights in the logistic baseline).
     represented : ndarray of shape (D', N)
         Represented training samples, one column per sample.
     indicator : ndarray of shape (L, N)
-        +-1 indicator targets.
+        Finite regression targets: the +-1 indicator targets here and in the
+        square baseline, the working responses in the logistic baseline.
     alpha : float
         Ridge parameter (>= 0).
     gram : ndarray of shape (N, N), optional

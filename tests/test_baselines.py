@@ -9,6 +9,7 @@ from correntia import (
     BaselineConfig,
     Dataset,
     KernelSpec,
+    Model,
     inject_label_noise,
     kernel_representation,
     kfold,
@@ -299,40 +300,61 @@ class TestTrainLogistic:
         labels = rng.integers(1, 3, 10)
         labels[:2] = [1, 2]
         ds = tiny_dataset(features, labels, 2)
-        cfg = BaselineConfig(alpha=0.0, max_iters=1, step_size=1e-30)
-        model = train_logistic(ds, linear_representation(), cfg)
-        assert logistic_objective(ds, model, 0.0) == pytest.approx(math.log(2.0), abs=1e-9)
+        zero = Model(np.zeros((2, 2)), np.zeros(2), linear_representation(), 1.0, ds.label_names)
+        assert logistic_objective(ds, zero, 0.0) == pytest.approx(math.log(2.0), abs=1e-15)
 
-    def test_gradient_vanishes_at_solution(self):
+    @pytest.mark.parametrize("kernel", [False, True], ids=["linear", "rbf"])
+    @pytest.mark.parametrize("alpha", [0.1, 0.01, 1e-4])
+    def test_first_newton_step_is_scaled_square_loss(self, alpha, kernel):
+        # From zero scores the Newton weights are 1/4 and the working responses
+        # 2 * indicator; that ridge problem is twice square loss at 8 alpha.
+        rng = np.random.default_rng(4)
+        features = rng.standard_normal((12, 2))
+        ds = tiny_dataset(features, rng.permutation([1, 2, 3] * 4), 3)
+        rep = kernel_representation(features, KernelSpec("rbf", 1.0)) if kernel else linear_representation()
+        model = train_logistic(ds, rep, BaselineConfig(alpha=alpha, max_iters=1, tol=0.0))
+        square = train_square(ds, rep, 8.0 * alpha)
+        np.testing.assert_allclose(model.weights, 2.0 * square.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.biases, 2.0 * square.biases, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", [False, True], ids=["linear", "rbf"])
+    def test_gradient_vanishes_at_solution(self, kernel):
+        # converged within the sweep's default of 20 iterations
         rng = np.random.default_rng(5)
         features = rng.standard_normal((40, 2))
         labels = rng.integers(1, 3, 40)
         labels[:2] = [1, 2]
         ds = tiny_dataset(features, labels, 2)
-        cfg = BaselineConfig(alpha=0.1, max_iters=2000, tol=1e-9)
-        model = train_logistic(ds, linear_representation(), cfg)
+        rep = kernel_representation(features, KernelSpec("rbf", 1.0)) if kernel else linear_representation()
+        model = train_logistic(ds, rep, BaselineConfig(alpha=0.1, max_iters=20, tol=1e-9))
         value = logistic_objective(ds, model, 0.1)
         h = 1e-6
+        params = np.hstack([model.weights, model.biases[:, None]])
         grads = []
-        for l in range(2):
-            for j in range(2):
-                w_up, w_dn = model.weights.copy(), model.weights.copy()
-                w_up[l, j] += h
-                w_dn[l, j] -= h
-                up_model = model.__class__(w_up, model.biases, model.representation, 1.0, model.class_map)
-                dn_model = model.__class__(w_dn, model.biases, model.representation, 1.0, model.class_map)
-                grads.append(
-                    (logistic_objective(ds, up_model, 0.1) - logistic_objective(ds, dn_model, 0.1)) / (2 * h)
-                )
-            b_up, b_dn = model.biases.copy(), model.biases.copy()
-            b_up[l] += h
-            b_dn[l] -= h
-            up_model = model.__class__(model.weights, b_up, model.representation, 1.0, model.class_map)
-            dn_model = model.__class__(model.weights, b_dn, model.representation, 1.0, model.class_map)
+        for index in np.ndindex(params.shape):
+            moved = []
+            for sign in (1.0, -1.0):
+                p = params.copy()
+                p[index] += sign * h
+                moved.append(Model(p[:, :-1], p[:, -1], rep, 1.0, model.class_map))
             grads.append(
-                (logistic_objective(ds, up_model, 0.1) - logistic_objective(ds, dn_model, 0.1)) / (2 * h)
+                (logistic_objective(ds, moved[0], 0.1) - logistic_objective(ds, moved[1], 0.1)) / (2 * h)
             )
         assert np.linalg.norm(grads) <= 1e-5 * (1 + abs(value))
+
+    def test_separable_class_is_named(self):
+        # alpha = 0 and tol = 0 on separable data: the weights grow until every
+        # Newton weight underflows, which must not surface as a ridge-step error
+        ds = tiny_dataset([[2.5], [1.5], [-1.5], [-2.5]], [1, 1, 2, 2], 2)
+        cfg = BaselineConfig(alpha=0.0, max_iters=500, tol=0.0)
+        with pytest.raises(
+            FloatingPointError,
+            match=r"^class 1: separable at alpha=0\.0, so its logistic weights diverge; "
+            r"use a larger alpha or tol$",
+        ):
+            train_logistic(ds, linear_representation(), cfg)
+        model = train_logistic(ds, linear_representation(), BaselineConfig(alpha=0.0, max_iters=500))
+        assert np.mean(predict_labels(model, ds.features) == ds.labels) == 1.0
 
     def test_monotone_loss_under_backtracking(self):
         # separable data, alpha = 0: the iterate losses must be non-increasing

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,18 @@ class TestRunExperiment:
                     continue
                 lone_accuracies.append(accuracy(predict_labels(model, test.features), test.labels))
             assert report.per_split_accuracies == tuple(lone_accuracies)
+
+    def test_separable_logistic_cell_is_a_cell_error(self):
+        # blobs 12 standard deviations apart are separable in every training half
+        diverging = MethodSpec("logistic", alpha=0.0, tol=0.0, iters=500)
+        failure = "separable at alpha=0.0, so its logistic weights diverge; use a larger alpha or tol"
+        cfg = blob_config(methods=(diverging, MethodSpec("square")), noise_rates=(0.0,))
+        logistic, square = run_experiment(cfg)
+        assert len(logistic.errors) == 4 and all(failure in e for e in logistic.errors)
+        assert not square.errors
+        stopping = replace(diverging, tol=1e-6)
+        (logistic,) = run_experiment(replace(cfg, methods=(stopping,)))
+        assert not logistic.errors and logistic.per_split_accuracies == (1.0,) * 4
 
     def test_pipeline_is_deterministic(self):
         cfg = blob_config()

@@ -10,6 +10,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from correntia import (
+    BaselineConfig,
     Dataset,
     DegenerateClassError,
     KernelSpec,
@@ -30,7 +31,7 @@ from correntia import (
     train,
     train_square,
 )
-from correntia import regmaxcem
+from correntia import baselines, regmaxcem
 
 
 def linear_model(weights, biases, class_map=None):
@@ -551,6 +552,23 @@ class TestTrain:
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr in numpy_products
         ]
+
+    def test_logistic_newton_steps_share_scipy_blas_and_one_gram(self, monkeypatch):
+        # the logistic baseline's scores and gradients run on scipy's BLAS too,
+        # and its kernel Newton steps solve through one Gram per fit
+        tree = ast.parse(inspect.getsource(baselines.train_logistic))
+        numpy_products = {"dot", "matmul", "einsum", "inner", "outer", "tensordot", "vdot"}
+        assert not [
+            ast.unparse(node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Attribute) and node.attr in numpy_products
+        ]
+        counts = count_calls(monkeypatch, "dsyrk")
+        ds = two_blob_dataset(seed=8)
+        rep = kernel_representation(ds.features, KernelSpec("rbf", 1.0))
+        baselines.train_logistic(ds, rep, BaselineConfig(max_iters=20, tol=0.0))
+        assert counts == {"dsyrk": 1}
 
 
 class TestEvaluateObjective:
