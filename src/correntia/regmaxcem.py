@@ -21,19 +21,23 @@ equivalent formulation used here).  The very first weight update sees the
 uniform auxiliary matrix and uses the plain ridge parameter, which makes
 it coincide with the closed-form square-loss baseline.
 
-The weight update picks one of two equivalent forms by shape alone.  With
-fewer represented dimensions ``D'`` than samples ``N`` it factors one
-``D' x D'`` system per class.  Otherwise, which is every kernel fit, it
-factors one ``N x N`` system per class, each a rescaled and rank-2
-centered copy of a single Gram matrix of the columns that ``train``
-builds once per fit: O(N^3) once, then O(L N^3 / 3) per round for the
-Cholesky factors.
+The weight update picks one of two equivalent forms by shape alone.  Both
+first shift the columns by their unweighted mean and take every class's
+weighted mean of the shifted columns in one product.  With fewer
+represented dimensions ``D'`` than samples ``N`` it factors one
+``D' x D'`` system per class, built from raw weighted moments of the
+shifted columns and centered by one rank-1 update; every class's
+right-hand side comes from one product.  Otherwise, which is every kernel
+fit, it factors one ``N x N`` system per class, each a rescaled and
+rank-2 centered copy of a single Gram matrix of the shifted columns that
+``train`` builds once per fit: O(N^3) once, then O(L N^3 / 3) per round
+for the Cholesky factors.
 
 Training is deterministic: the per-class ridge solves are independent and
 run one after another, and reruns with the same BLAS thread count give
 identical models.  Every matrix product of training and scoring large
 enough for BLAS to thread runs on the BLAS that scipy links (``dgemm``,
-``dgemv``, ``dsyrk``, ``dsyr2``, the Cholesky factor and solve), not
+``dgemv``, ``dsyrk``, ``dsyr``, ``dsyr2``, the Cholesky factor and solve), not
 through numpy's ``@``; only per-class dot products and the ``alpha = 0``
 least-squares solve stay on numpy.  The numpy and scipy wheels each
 bundle their own OpenBLAS, each with its own thread pool, and OpenBLAS
@@ -56,7 +60,7 @@ import numpy as np
 # Kept at module level: deferred into m_step, its ~0.25 s import would land
 # inside the first train() call instead of at `import correntia`.
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dgemm, dgemv, dsyr2, dsyrk
+from scipy.linalg.blas import dgemm, dgemv, dsyr, dsyr2, dsyrk
 
 from .correntropy import SigmaPolicy, g_sigma, objective, sigma_heuristic
 from .dataset import Dataset, label_indicator
@@ -208,13 +212,18 @@ def shifted_gram(represented: np.ndarray) -> np.ndarray:
     ``m_step`` solves through it when ``D' >= N``; ``train`` builds it once
     per fit and passes it to every round.
     """
-    return dsyrk(1.0, _shift(represented), trans=1, lower=1)
+    return dsyrk(1.0, _shift(represented)[1], trans=1, lower=1)
 
 
-def _shift(represented: np.ndarray) -> np.ndarray:
-    """The columns minus their unweighted mean, in Fortran order."""
+def _shift(represented: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unweighted column mean, and the columns minus it in Fortran order.
+
+    One memory order for every caller: BLAS rounds differently per layout,
+    and ``dsyrk`` reads the Fortran-ordered columns in place.
+    """
     represented = np.asfortranarray(represented, dtype=np.float64)
-    return represented - represented.mean(axis=1)[:, None]
+    offset = represented.mean(axis=1)
+    return offset, represented - offset[:, None]
 
 
 def m_step(
@@ -237,14 +246,20 @@ def m_step(
     is what makes the bias gradient vanish exactly.  With ``A`` the centered
     columns scaled by ``u``, the solution is ``w = (A A^T + alpha I)^-1 A t``
     for the scaled, centered targets ``t``, which equals ``A (A^T A + alpha
-    I)^-1 t``.  The form is chosen by shape only:
+    I)^-1 t``.  Both forms shift the columns by their unweighted mean, so
+    that large offsets do not cancel, and take every class's weighted mean
+    of the shifted columns by one ``dgemm``.  The form is chosen by shape
+    only:
 
     * ``D' < N`` (feature space): the ``D' x D'`` system ``A A^T`` is built,
-      lower triangle only, by one ``dsyrk`` per class and the right-hand
-      side by one ``dgemv``.
-    * ``D' >= N`` (sample space, every kernel fit): the columns are shifted
-      by their unweighted mean, so that large offsets do not cancel, and
-      their ``N x N`` Gram is built by one ``dsyrk`` (see ``gram``).
+      lower triangle only, from raw moments: one ``dsyrk`` per class of the
+      shifted columns scaled by ``u`` (into one reused buffer), centered by
+      one rank-1 ``dsyr`` update.  Every class's right-hand side ``A t``
+      comes from one ``dgemm``, less the weighted mean times the rounded
+      row sum of ``u^2 (y - y_mean)`` (zero in exact arithmetic), which
+      keeps a down-weighted class's weights at their true, tiny size.
+    * ``D' >= N`` (sample space, every kernel fit): the ``N x N`` Gram of
+      the shifted columns is built by one ``dsyrk`` (see ``gram``).
       Per class it is rescaled to ``diag(u) G diag(u)``, centered on the
       weighted mean by one rank-2 ``dsyr2`` update, solved for ``beta``,
       and ``w = A beta`` is recovered by one ``dgemv``.
@@ -280,18 +295,16 @@ def m_step(
         If ``alpha < 0``, the shapes disagree, an input is not finite
         (the argument is named) or an ``aux`` entry is positive.
     DegenerateClassError
-        If a class's auxiliary weights sum below 1e-12 (every sample
-        down-weighted to numerical zero); the first such class is named.
+        If, for a class, the sum over samples of ``sqrt(-aux / N)`` is below
+        1e-12 (every sample down-weighted to numerical zero); the first
+        such class is named.
     FloatingPointError
         If a system with ``alpha > 0`` is numerically not positive definite
         (near-singular data with a tiny ``alpha``), or a system overflowed
         (finite features too large to square); the class is named.
     """
     aux = np.asarray(aux, dtype=np.float64)
-    # One memory order for every caller (``train`` already passes Fortran
-    # order): BLAS rounds differently per layout, and dsyrk then reads the
-    # centered columns in place.
-    represented = np.asfortranarray(represented, dtype=np.float64)
+    represented = np.asarray(represented, dtype=np.float64)
     indicator = np.asarray(indicator, dtype=np.float64)
     num_classes, n = indicator.shape
     if aux.shape != indicator.shape:
@@ -315,30 +328,44 @@ def m_step(
     if degenerate.size:
         raise DegenerateClassError(int(degenerate[0]) + 1)
     totals = u_sq.sum(axis=1)
-    # Built C-ordered (D' x L): the bias dot below then reads its columns with
-    # a stride, and a contiguous read would round the biases differently.
-    x_means = dgemm(1.0, u_sq.T, represented, trans_a=1, trans_b=1).T / totals
+    # Allocated before the large work arrays: allocated after them, the
+    # returned arrays sit above their freed space on the heap and keep it
+    # from being given back, which read as one N x N array more peak memory
+    # from a process's second kernel fit on.
+    weights = np.empty((num_classes, dim))
+    biases = np.empty(num_classes)
+    offset, shifted = _shift(represented)
+    # Weighted means of the shifted columns, built C-ordered (D' x L): the
+    # bias dot below then reads the columns of x_means with a stride, and a
+    # contiguous read would round the biases differently.
+    shift_means = dgemm(1.0, u_sq.T, shifted, trans_a=1, trans_b=1).T / totals
+    x_means = shift_means + offset[:, None]
     # Row-wise dot products as a batched matmul round like a per-row dot;
     # the near-tied biases of a collapsed model depend on those last bits.
     y_means = (indicator[:, None, :] @ u_sq[:, :, None]).ravel() / totals
 
     sample_space = dim >= n
     if sample_space:
-        shifted = _shift(represented)
         if gram is None:
             gram = shifted_gram(represented)
         elif gram.shape != (n, n):
             raise ValueError(f"gram has shape {gram.shape}, expected {(n, n)}")
-        # Weighted means of the shifted columns (D' x L); with g = S^T d and
-        # c = d @ d, centering the Gram subtracts 1 h^T + h 1^T for h = g - c/2.
-        shift_means = dgemm(1.0, u_sq.T, shifted, trans_a=1, trans_b=1).T / totals
+        # With g = S^T d and c = d @ d for the weighted mean d of the shifted
+        # columns, centering the Gram subtracts 1 h^T + h 1^T for h = g - c/2.
         with np.errstate(over="ignore", invalid="ignore"):  # caught on the diagonal
             halves = dgemm(1.0, shifted, shift_means, trans_a=1)
             halves -= 0.5 * np.sum(shift_means**2, axis=0)
         system = np.empty((n, n), order="F")  # one buffer, rescaled and factored per class
+    else:
+        # Every class's A t at once: S (u^2 (y - y_mean))^T minus the weighted
+        # mean times the row sum.  That sum is zero in exact arithmetic, but
+        # once a class is down-weighted A t is a small difference of large
+        # terms, and subtracting the rounded sum carries the cancellation.
+        moments = u_sq * (indicator - y_means[:, None])
+        rhs = dgemm(1.0, shifted, moments.T)
+        rhs -= shift_means * moments.sum(axis=1)
+        scaled = np.empty((dim, n), order="F")  # one buffer, rescaled per class
 
-    weights = np.empty((num_classes, dim))
-    biases = np.empty(num_classes)
     for l in range(num_classes):
         if sample_space:
             np.multiply(gram, u[l][:, None], out=system)
@@ -350,11 +377,13 @@ def m_step(
             # and the rounded sum carries the cancellation.
             w = dgemv(1.0, shifted, scaled_beta, beta=-scaled_beta.sum(), y=shift_means[:, l])
         else:
-            scaled = represented - x_means[:, l, None]
-            scaled *= u[l]
-            rhs = dgemv(1.0, scaled, u[l] * (indicator[l] - y_means[l]))
-            system = dsyrk(1.0, scaled, lower=1)  # scaled @ scaled.T, lower triangle only
-            w = _ridge_solve(system, rhs, alpha, l)
+            # A A^T from raw moments: sum_i u_i^2 s_i s_i^T - t d d^T, lower
+            # triangle only, for the shifted columns s_i, their weighted mean
+            # d and the weight total t
+            np.multiply(shifted, u[l], out=scaled)
+            system = dsyrk(1.0, scaled, lower=1)
+            system = dsyr(-totals[l], shift_means[:, l], lower=1, a=system, overwrite_a=1)
+            w = _ridge_solve(system, rhs[:, l], alpha, l)
         weights[l] = w
         biases[l] = y_means[l] - w @ x_means[:, l]
     return weights, biases

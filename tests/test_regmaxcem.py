@@ -16,13 +16,18 @@ from correntia import (
     KernelSpec,
     Model,
     SigmaPolicy,
+    SyntheticSpec,
     TrainConfig,
+    child_seed,
     e_step,
+    generate_synthetic,
+    inject_label_noise,
     kernel_representation,
     label_indicator,
     linear_representation,
     load_model,
     m_step,
+    make_rng,
     objective,
     predict_labels,
     represent_matrix,
@@ -318,6 +323,12 @@ class TestMStep:
         "shape, alpha, offset, positive_scale",
         [
             pytest.param((50, 2000, 10), 0.01, 0.0, 1.0, id="tall-linear"),
+            # the feature-space form builds its system from raw moments of the
+            # shifted columns, so a large common offset must not cancel either
+            pytest.param((50, 2000, 10), 0.01, 1e4, 1.0, id="tall-offset"),
+            # its right-hand side subtracts the rounded (exactly zero) row sum;
+            # without that, rounding noise swamps a down-weighted class
+            pytest.param((50, 2000, 10), 0.01, 0.0, 1e-12, id="tall-down-weighted"),
             pytest.param("rbf-gram", 0.01, 0.0, 1.0, id="square-kernel"),
             pytest.param((40, 25, 3), 0.1, 0.0, 1.0, id="wide"),
             pytest.param((6, 300, 4), 0.0, 0.0, 1.0, id="alpha-zero"),
@@ -510,28 +521,45 @@ class TestTrain:
         assert model.sigma_final == trace.records[-1].sigma
         assert all(r.sigma > 0 for r in trace.records)
 
+    def test_absorbed_classes_stay_absorbed(self):
+        # The smallest linear fit probed (L=10, D=10, 10 rows per class, 20 %
+        # label noise) in which adaptive sigma absorbs every class: the
+        # weights are rounding-sized and the near-tied biases pick class 3
+        # for every row.  A weight update whose rounding grows past that
+        # would change the labels without fixing the collapse.
+        num_classes, dim = 10, 10
+        corners = np.eye(num_classes, dim) - np.eye(num_classes, dim).mean(axis=0)
+        rotation, _ = np.linalg.qr(make_rng(0).standard_normal((dim, dim)))
+        means = tuple(map(tuple, 5.0 / math.sqrt(2.0) * corners @ rotation))
+        clean = generate_synthetic(SyntheticSpec(means, 1.0, 10, child_seed(0, 1)))
+        ds = inject_label_noise(clean, 0.2, child_seed(0, 3))
+        model, _ = train(ds, TrainConfig(alpha=0.01, max_iters=20, tol=0.0))
+        assert np.max(np.abs(model.weights)) < 1e-18
+        np.testing.assert_array_equal(predict_labels(model, ds.features), np.full(100, 3))
+
     def test_products_run_on_scipy_blas(self, monkeypatch):
         # numpy and scipy each load their own BLAS; a product left on numpy's
         # makes the two thread pools compete for the CPUs
-        counts = count_calls(monkeypatch, "dgemm", "dgemv")
+        counts = count_calls(monkeypatch, "dgemm", "dgemv", "dsyrk", "dsyr")
         ds = two_blob_dataset(seed=8)
         model, _ = train(ds, TrainConfig(max_iters=3, tol=0.0))
-        # per round: class means and scores by dgemm, one right-hand side per class by dgemv
-        assert counts == {"dgemm": 6, "dgemv": 6}
+        # per round: class means, every class's right-hand side and scores by
+        # dgemm; per class, one dsyrk of raw moments and one dsyr centering
+        assert counts == {"dgemm": 9, "dgemv": 0, "dsyrk": 6, "dsyr": 6}
         score_matrix(model, ds.features)
-        assert counts == {"dgemm": 7, "dgemv": 6}
+        assert counts == {"dgemm": 10, "dgemv": 0, "dsyrk": 6, "dsyr": 6}
 
     def test_kernel_fit_builds_one_gram(self, monkeypatch):
         # D' >= N: the N x N Gram of the shifted columns is built once per fit,
         # and each class of each round only rescales and updates it
-        counts = count_calls(monkeypatch, "dgemm", "dgemv", "dsyrk", "dsyr2")
+        counts = count_calls(monkeypatch, "dgemm", "dgemv", "dsyrk", "dsyr2", "dsyr")
         ds = two_blob_dataset(seed=8)
         rep = kernel_representation(ds.features, KernelSpec("rbf", 1.0))
         cfg = TrainConfig(max_iters=3, tol=0.0, representation=rep)
         train(ds, cfg)
-        # per round: class means, shifted-class means, their projections and
-        # scores by dgemm; per class, one dsyr2 centering and one dgemv recovery
-        assert counts == {"dgemm": 12, "dgemv": 6, "dsyrk": 1, "dsyr2": 6}
+        # per round: shifted-class means, their projections and scores by
+        # dgemm; per class, one dsyr2 centering and one dgemv recovery
+        assert counts == {"dgemm": 9, "dgemv": 6, "dsyrk": 1, "dsyr2": 6, "dsyr": 0}
         train(ds, cfg)
         assert counts["dsyrk"] == 2
 
