@@ -92,7 +92,9 @@ def sigma_heuristic(scores: np.ndarray, indicator: np.ndarray, floor: float = DE
     Computes ``sum((scores - indicator)^2) / (2 L N)`` over the ``L x N``
     matrices and floors the result.  Note the mean squared residual is
     assigned to sigma itself, not sigma squared; that convention is kept
-    deliberately (see the module docs on heuristics).
+    deliberately.  With many classes it can absorb a class into a constant
+    -1 score row: see the README's "absorbing class" caveat, and ROADMAP
+    item 1 for the open fix.
     """
     scores = np.asarray(scores, dtype=np.float64)
     indicator = np.asarray(indicator, dtype=np.float64)

@@ -6,15 +6,18 @@ portions stay pristine, and the runner asserts as much); every method then
 trains on the identical noisy training sets, which is what makes the
 per-split accuracies a matched sample for the pairwise paired t-tests.
 Each split's representation depends only on its training features, so it
-is built once, before any training, and shared by every noise rate and
-method; one that cannot be built raises.  The noisy training sets of every
-rate are drawn before any training, since noise does not depend on the
-method.  Each method then trains on all of its cells in one call
-(:func:`train_cells`): the hinge cells are stepped together in one batched
-loop, the other methods' cells one after another.  Failures inside one
-cell (training or scoring) are caught and recorded on that method's report
-instead of aborting the sweep.  Cells are mutually independent, and report
-order always follows the config regardless of how cells are scheduled.
+is built once, before any training, and represents both sides of the split
+once (in kernel mode, kernel evaluations against the training anchors); a
+split that cannot be represented raises.  Every cell is then a plain
+linear problem on those represented features.  The noisy training sets of
+every rate are drawn from the represented training side before any
+training, since noise depends only on the labels.  Each method then
+trains on all of its cells in one call (:func:`train_cells`): the hinge
+cells are stepped together in one batched loop, the other methods' cells
+one after another.  Failures inside one cell (training or scoring) are
+caught and recorded on that method's report instead of aborting the sweep.
+Cells are mutually independent, and report order always follows the
+config regardless of how cells are scheduled.
 """
 
 import json
@@ -50,6 +53,7 @@ from .kernels import (
     kernel_representation,
     linear_representation,
     median_bandwidth,
+    represent_matrix,
 )
 from .regmaxcem import TrainConfig, predict_labels, score_matrix, train
 from .seeding import child_seed, make_rng
@@ -325,19 +329,22 @@ def train_method(method: MethodSpec, ds: Dataset, rep: Representation):
     return trainer(ds, rep, method.baseline_config())
 
 
-def train_cells(
-    method: MethodSpec, splits: list[tuple[Representation, list[Dataset]]]
-) -> list[list]:
-    """Train one method on every cell: ``splits`` pairs a representation with its training sets.
+def train_cells(method: MethodSpec, splits: list[list[Dataset]]) -> list[list]:
+    """Train one method on every cell: ``splits`` holds each split's training sets.
 
-    Returns, per split and per training set, the model or the exception its
-    training raised, so that one failing cell does not stop the others.  The
-    hinge cells are stepped together by :func:`train_hinge_batch`; every
-    other method trains cell by cell through :func:`train_method`.
+    The training sets of one split share their already represented features
+    (see :func:`_represent_splits`) and differ only in labels, so every cell
+    fits under the linear representation.  Returns, per split and per
+    training set, the model or the exception its training raised, so that
+    one failing cell does not stop the others.  The hinge cells are stepped
+    together by :func:`train_hinge_batch`; every other method trains cell by
+    cell through :func:`train_method`.
     """
+    linear = linear_representation()
     if method.name == "hinge":
-        return train_hinge_batch(splits, method.baseline_config())
-    return [[_train_or_error(method, ds, rep) for ds in datasets] for rep, datasets in splits]
+        return train_hinge_batch([(linear, datasets) for datasets in splits],
+                                 method.baseline_config())
+    return [[_train_or_error(method, ds, linear) for ds in datasets] for datasets in splits]
 
 
 def _train_or_error(method: MethodSpec, ds: Dataset, rep: Representation):
@@ -346,6 +353,22 @@ def _train_or_error(method: MethodSpec, ds: Dataset, rep: Representation):
         return train_method(method, ds, rep)
     except Exception as exc:  # cell isolation: the caller reports it
         return exc
+
+
+def _represent_splits(
+    pairs: list[tuple[Dataset, Dataset]], representation: RepresentationSpec
+) -> list[tuple[Dataset, Dataset]]:
+    """Each ``(train, test)`` pair with both sides represented by the train side's representation.
+
+    In linear mode the features are returned as they are, without a copy.
+    """
+    represented = []
+    for train_set, test in pairs:
+        rep = representation.build(train_set.features)
+        represented.append(
+            tuple(replace(d, features=represent_matrix(d.features, rep)) for d in (train_set, test))
+        )
+    return represented
 
 
 def _model(result):
@@ -369,12 +392,12 @@ def select_alpha_by_cv(
     values in [1e-4, 1]) over a k-fold split of ``ds`` and returns the alpha
     with the best mean accuracy; ties go to the smallest alpha.
     """
-    pairs = kfold(ds, min(folds, ds.n_samples), child_seed(seed, 3))
-    reps = [representation.build(tr.features) for tr, _ in pairs]
+    pairs = _represent_splits(kfold(ds, min(folds, ds.n_samples), child_seed(seed, 3)),
+                              representation)
     best_alpha, best_score = None, -np.inf
     for alpha in grid:
         candidate = replace(method, alpha=float(alpha))
-        trained = train_cells(candidate, [(rep, [tr]) for rep, (tr, _) in zip(reps, pairs)])
+        trained = train_cells(candidate, [[tr] for tr, _ in pairs])
         scores = [
             accuracy(predict_labels(_model(result), test.features), test.labels)
             for (result,), (_, test) in zip(trained, pairs)
@@ -392,7 +415,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
     (config order).  When two or more methods are present, each report
     carries pairwise paired t-tests on the per-split accuracies.  Raises
     ``ValueError`` before any training when ``positive_class`` is outside
-    ``1..L`` or a split's representation cannot be built.
+    ``1..L`` or a split cannot be represented.
     """
     if cfg.data is None:
         ds = generate_synthetic(cfg.synthetic)
@@ -406,7 +429,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
     else:
         seeds = (child_seed(cfg.seed, 1, s) for s in range(protocol.times))
         folds = [split(ds, SplitSpec(protocol.fraction, seed)) for seed in seeds]
-    reps = [cfg.representation.build(tr.features) for tr, _ in folds]
+    folds = _represent_splits(folds, cfg.representation)
     # pristine test labels, used to assert noise never leaks into test data
     test_fingerprints = [test.labels.tobytes() for _, test in folds]
 
@@ -416,7 +439,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
          for r_idx, rate in enumerate(cfg.noise_rates)]
         for s, (tr, _) in enumerate(folds)
     ]
-    trained = [train_cells(method, list(zip(reps, noisy_trains))) for method in cfg.methods]
+    trained = [train_cells(method, noisy_trains) for method in cfg.methods]
 
     reports: list[EvalReport] = []
     for r_idx, rate in enumerate(cfg.noise_rates):

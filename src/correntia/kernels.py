@@ -88,13 +88,23 @@ def kernel_representation(anchors: np.ndarray, kernel: KernelSpec) -> Representa
 
 
 def gram(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Kernel matrix ``K[i, j] = K(rows[i], cols[j])`` for two sample matrices."""
+    """Kernel matrix ``K[i, j] = K(rows[i], cols[j])`` for two sample matrices.
+
+    A linear kernel whose dot products overflow raises ``ValueError`` naming
+    the first such row of ``rows``.  An rbf kernel cannot overflow.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     cols = np.atleast_2d(np.asarray(cols, dtype=np.float64))
     if rows.shape[1] != cols.shape[1]:
         raise ValueError(f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]}")
     if spec.kind == "linear":
-        return rows @ cols.T
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, by row
+            product = rows @ cols.T
+        finite = np.isfinite(product)
+        if not finite.all():
+            row = int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise ValueError(f"row {row}: the linear kernel overflows; rescale the features")
+        return product
     # Local import: scipy.spatial adds ~0.1 s to start-up; only kernel mode uses it.
     from scipy.spatial.distance import cdist
 

@@ -41,15 +41,52 @@ def test_star_import(name):
     assert set(importlib.import_module(f"correntia.{name}").__all__) <= set(namespace)
 
 
-def test_benchmark_traced_functions_resolve():
-    # perfbench/run.py --trace 1 wraps these by name and fails if one is gone
+def load_tracing():
+    """The benchmark's tracer module, ``perfbench/tracing.py``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_traced_functions_resolve():
+    # perfbench/run.py --trace 1 wraps these by name and fails if one is gone
+    tracing = load_tracing()
     missing = [
         f"{module}.{func}"
         for module, func in tracing.TRACED
         if not callable(getattr(importlib.import_module(f"correntia.{module}"), func, None))
     ]
     assert tracing.TRACED and not missing, f"perfbench traces undefined {missing}"
+
+
+def test_benchmark_traced_pass_runs(tmp_path):
+    # one small pass under the tracer, so its counters' argument lookups
+    # (represented, train_features, path) still bind to today's signatures
+    tracing = load_tracing()
+    ds = correntia.generate_synthetic(
+        correntia.SyntheticSpec(((2.0, 0.0), (-2.0, 0.0)), 1.0, 10, seed=1)
+    )
+    cfg = correntia.ExperimentConfig(
+        methods=(correntia.MethodSpec("regmaxcem", iters=3), correntia.MethodSpec("square")),
+        protocol=correntia.ProtocolSpec("kfold", k=2),
+        seed=0,
+        synthetic=correntia.SyntheticSpec(((2.0, 0.0), (-2.0, 0.0)), 1.0, 10, seed=2),
+        representation=correntia.RepresentationSpec("kernel"),
+    )
+    path = tmp_path / "model.json"
+    original = correntia.regmaxcem.train
+    with tracing.Tracer().installed() as tracer:
+        model, _ = correntia.train(ds, correntia.TrainConfig(max_iters=3))
+        correntia.run_experiment(cfg)
+        correntia.save_model(model, path)
+    assert correntia.regmaxcem.train is original
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["harness.run_experiment.calls"] == 1
+    assert metrics["regmaxcem.train.calls"] == 3  # one lone fit, one per fold
+    assert metrics["regmaxcem.m_step.gflop"] > 0
+    assert metrics["kernels.gram.calls"] == 4  # each fold's train and test side once
+    assert metrics["kernels.gram.entries"] == 2 * (10 * 10 + 10 * 10)
+    assert metrics["harness.build_representation.useful_ratio"] == 1.0
+    assert metrics["regmaxcem.model_file_bytes"] == path.stat().st_size

@@ -244,6 +244,20 @@ class TestErrors:
         assert capsys.readouterr().err == "error: alpha must be >= 0, got -1.0\n"
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("method", ["regmaxcem", "hinge"])
+    def test_overflowing_linear_kernel_is_one_line_error(self, tmp_path, method):
+        # a child interpreter, so numpy warnings reach stderr as they would for a user
+        data = tmp_path / "huge.csv"
+        data.write_text("a,b,label\n" + "".join(
+            f"{(i % 7 + 1) * 1e160!r},{(-1) ** i * 3e159!r},{1 + i % 2}\n" for i in range(20)
+        ))
+        result = run_python(["-m", "correntia", "train", "--data", data, "--label-col", "label",
+                             "--method", method, "--model-out", tmp_path / "m.json",
+                             "--representation", "kernel", "--kernel", "linear"])
+        assert result.returncode == 1
+        assert result.stderr == "error: row 0: the linear kernel overflows; rescale the features\n"
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

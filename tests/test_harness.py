@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from correntia import baselines, harness, regmaxcem
+from correntia import baselines, harness, kernels, regmaxcem
 from correntia import (
     BaselineConfig,
     DataSpec,
@@ -250,10 +250,12 @@ class TestRunExperiment:
     def test_one_representation_per_split_and_one_score_per_cell(self, monkeypatch):
         scores = count_calls(monkeypatch, regmaxcem, "score_matrix")
         builds = count_calls(monkeypatch, harness, "build_representation")
+        grams = count_calls(monkeypatch, kernels, "gram")
         cfg = blob_config(
             methods=(MethodSpec("regmaxcem"), MethodSpec("square"), MethodSpec("hinge", iters=50)),
             protocol=ProtocolSpec("kfold", k=3),
             noise_rates=(0.0, 0.2),
+            representation=RepresentationSpec("kernel"),
         )
         trained = count_calls(monkeypatch, harness, "train_method")
         batches = count_calls(monkeypatch, baselines, "train_hinge_batch")
@@ -261,6 +263,8 @@ class TestRunExperiment:
         assert [len(r.per_split_accuracies) for r in reports] == [3] * 6
         assert len(scores) == 18
         assert len(builds) == 3
+        # each split's train and test features are represented once, by 2 kernel evaluations
+        assert len(grams) == 6
         # the six hinge cells train in one batch, the other twelve one by one
         assert len(trained) == 12 and {args[0].name for args in trained} == {"regmaxcem", "square"}
         assert [[len(datasets) for _, datasets in args[0]] for args in batches] == [[2, 2, 2]]
@@ -270,6 +274,13 @@ class TestRunExperiment:
         [
             ({"representation": RepresentationSpec("kernel", bandwidth=-1.0)}, "bandwidth > 0"),
             ({"positive_class": 3}, "positive_class 3 out of range 1..2"),
+            (
+                {
+                    "synthetic": SyntheticSpec(((1e160, 0.0), (-1e160, 0.0)), 0.5, 30, seed=1),
+                    "representation": RepresentationSpec("kernel", "linear"),
+                },
+                "row 0: the linear kernel overflows; rescale the features",
+            ),
         ],
     )
     def test_bad_setup_raises_before_training(self, monkeypatch, overrides, message):
@@ -308,9 +319,12 @@ class TestSelectAlphaByCv:
 
     def test_one_representation_per_fold(self, monkeypatch):
         builds = count_calls(monkeypatch, harness, "build_representation")
+        grams = count_calls(monkeypatch, kernels, "gram")
         ds = generate_synthetic(SyntheticSpec(((2.0, 0.0), (-2.0, 0.0)), 1.0, 25, seed=4))
         select_alpha_by_cv(MethodSpec("square"), ds, RepresentationSpec("kernel"), folds=5)
         assert len(builds) == 5
+        # each fold's train and test features once, not once per alpha
+        assert len(grams) == 10
 
 
 class TestEmitReports:
