@@ -84,4 +84,4 @@ from .regmaxcem import (
 )
 from .seeding import child_seed, make_rng
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

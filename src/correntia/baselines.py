@@ -156,30 +156,43 @@ def _hinge_steps(represented: np.ndarray, indicator: np.ndarray, cfg: BaselineCo
     ``S x C x L x n`` (C label sets per split).  Returns the best weights
     ``S x C x L x D'``, the best biases ``S x C x L`` and, per cell, the
     1-based class whose objective first turned non-finite (0 where none did).
+    Every ``S x C x L x n`` array is one buffer allocated before the loop and
+    rewritten in place (``out=``) each iteration; the matmuls keep their
+    stacked shapes, so the results are those of fresh arrays bit for bit.
     """
     represented = represented[:, None]  # broadcast over each split's label sets
+    transposed = represented.swapaxes(-1, -2)
     n, dim = represented.shape[-2:]
     alpha = cfg.alpha
 
     weights = np.zeros(indicator.shape[:-1] + (dim,))
     biases = np.zeros(indicator.shape[:-1])
     margins_comp = np.ones_like(indicator)  # 1 - y * f at the zero start
+    positive = np.empty(indicator.shape, dtype=bool)
+    active = np.empty_like(indicator)
+    scores = np.empty_like(indicator)
     best = np.ones(biases.shape)  # every margin is 1 there, so each objective is 1
     best_weights, best_biases = weights.copy(), biases.copy()
     failed = np.zeros(indicator.shape[:-2], dtype=np.int64)
     # Overflow shows below as a non-finite objective, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.max_iters + 1):
-            active = np.where(margins_comp > 0.0, indicator, 0.0)
+            # y where the margin is short of 1, else +0.0 (the + 0.0 turns -1 * 0 into +0.0)
+            np.greater(margins_comp, 0.0, out=positive)
+            np.multiply(indicator, positive, out=active)
+            active += 0.0
             grad_w = -(active @ represented) / n + 2.0 * alpha * weights
             grad_b = -active.sum(axis=-1) / n
             step = cfg.step_size / np.sqrt(t)
             weights = weights - step * grad_w
             biases = biases - step * grad_b
-            scores = weights @ represented.swapaxes(-1, -2) + biases[..., None]
-            margins_comp = 1.0 - indicator * scores
+            np.matmul(weights, transposed, out=scores)
+            scores += biases[..., None]
+            np.multiply(indicator, scores, out=margins_comp)
+            np.subtract(1.0, margins_comp, out=margins_comp)
             penalty = alpha * (weights * weights).sum(axis=-1)
-            value = np.maximum(margins_comp, 0.0).sum(axis=-1) / n + penalty
+            hinge = np.maximum(margins_comp, 0.0, out=scores)  # the scores are spent
+            value = hinge.sum(axis=-1) / n + penalty
             finite = np.isfinite(value)
             if not finite.all():
                 # a cell fails once, naming its lowest non-finite class; the

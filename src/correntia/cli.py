@@ -1,13 +1,14 @@
 """Command-line interface: train, predict, eval, experiment, synth.
 
 Exit code is 0 on success; on failure a single machine-parsable line
-``error: <message>`` goes to stderr and the exit code is 1.  Output CSVs
-use ``.`` decimals and LF line endings.
+``error: <message>`` goes to stderr and the exit code is 1.  Each output
+destination is checked before any input is read.  Output CSVs use ``.``
+decimals and LF line endings.
 """
 
 import argparse
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,9 +106,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_file(flag: str, path) -> None:
+    """Fail, naming ``flag``, unless ``path`` is no directory and lies in an existing one."""
+    parent = Path(path).parent
+    if Path(path).is_dir():
+        raise ValueError(f"{flag} {path}: is a directory")
+    if not parent.exists():
+        raise ValueError(f"{flag} {path}: directory {parent} does not exist")
+    if not parent.is_dir():
+        raise ValueError(f"{flag} {path}: {parent} is not a directory")
+
+
+def _check_output_dir(flag: str, path) -> None:
+    """Fail, naming ``flag``, unless ``path`` is a directory or can be made one with its parents."""
+    existing = Path(path)
+    while not existing.exists() and existing != existing.parent:
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ValueError(f"{flag} {path}: {existing} is not a directory")
+
+
 def _cmd_train(args) -> int:
     if args.trace_out and args.method != "regmaxcem":
         raise ValueError(f"--trace-out needs --method regmaxcem, got --method {args.method}")
+    _check_output_file("--model-out", args.model_out)
+    if args.trace_out:
+        _check_output_file("--trace-out", args.trace_out)
     ds = load_csv(args.data, args.label_col)
     representation = RepresentationSpec(args.representation, args.kernel, args.bandwidth)
     rep = representation.build(ds.features)
@@ -122,8 +146,10 @@ def _cmd_train(args) -> int:
         print(f"alpha selected by inner cross-validation: {selected!r}")
     if args.trace_out:
         model, trace = train(ds, replace(method.train_config(rep), trace=True))
-        write_csv(args.trace_out, ["iteration", *(f.name for f in fields(TraceRecord))],
-                  ([i, *astuple(record)] for i, record in enumerate(trace.records, start=1)))
+        names = [f.name for f in fields(TraceRecord)]
+        write_csv(args.trace_out, ["iteration", *names],
+                  [range(1, len(trace.records) + 1),
+                   *([getattr(record, name) for record in trace.records] for name in names)])
     else:
         model = train_method(method, ds, rep)
     save_model(model, args.model_out)
@@ -132,12 +158,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    _check_output_file("--out", args.out)
     model = load_model(args.model)
     features = load_features(args.data, args.label_col)
     scores = score_matrix(model, features)
     labels = np.argmax(scores, axis=1)
     write_csv(args.out, ["label"] + [f"score_{name}" for name in model.class_map],
-              ([model.class_map[k], *row] for k, row in zip(labels, scores.tolist())))
+              [[model.class_map[k] for k in labels.tolist()], *scores.T])
     print(f"predictions written to {args.out}")
     return 0
 
@@ -174,6 +201,8 @@ def _align_to_model(ds, model):
 
 
 def _cmd_eval(args) -> int:
+    if args.out_dir:
+        _check_output_dir("--out-dir", args.out_dir)
     model = load_model(args.model)
     ds = _align_to_model(load_csv(args.data, args.label_col), model)
     positive = _resolve_class(model, args.positive_class)
@@ -197,6 +226,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    _check_output_dir("--out", args.out)
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -207,14 +237,14 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _check_output_file("--out", args.out)
     try:
         means = tuple(tuple(map(float, row.split(","))) for row in args.means.split(";") if row)
     except ValueError:
         raise ValueError(f"--means: expected numbers like '2,0;-2,0', got {args.means!r}") from None
     ds = generate_synthetic(SyntheticSpec(means, args.std, args.per_class, args.seed))
     write_csv(args.out, [f"f{j + 1}" for j in range(ds.n_features)] + [args.label_col],
-              ([*row, ds.label_names[label - 1]]
-               for row, label in zip(ds.features.tolist(), ds.labels.tolist())))
+              [*ds.features.T, [ds.label_names[label - 1] for label in ds.labels.tolist()]])
     print(f"{ds.n_samples} samples written to {args.out}")
     return 0
 

@@ -9,6 +9,7 @@ threads; every operation here is a pure function of (input, seed).
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -165,12 +166,58 @@ def _read_csv(path, label_column, require_label: bool):
     return features, None if label_idx is None else raw_labels
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a headed UTF-8 CSV with LF endings; floats keep their exact shortest repr."""
+def write_csv(path, header, columns) -> None:
+    """Write a headed UTF-8 CSV with LF endings from equal-length columns.
+
+    The bytes are those ``csv.writer(handle, lineterminator="\\n")`` writes
+    for ``header`` and then the rows ``zip(*columns)``, with an array column
+    read as its ``tolist()``: floats keep their exact shortest repr, ``None``
+    is an empty cell and text gets the csv module's minimal quoting.  A
+    float64 array column is formatted once per distinct bit pattern (so
+    ``-0.0``, ``nan`` and ``inf`` keep their own text), and the file is
+    written with one join.
+    """
+    columns = [_cell_texts(column) for column in columns]
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError(f"columns differ in length: {[len(column) for column in columns]}")
+    header = _cell_texts(header)
+    lines = [",".join(header), *map(",".join, zip(*columns))]
+    # csv.writer quotes a row that is one empty field
+    if len(header) == 1 and lines[0] == "":
+        lines[0] = '""'
+    if len(columns) == 1:
+        lines[1:] = ['""' if line == "" else line for line in lines[1:]]
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write("\n".join(lines) + "\n")
+
+
+def _cell_texts(values):
+    """Each value as ``csv.writer`` writes it in a row of several fields."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+        return texts[inverse]  # a repr never needs quoting
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    texts = list(map(_text, values))
+    quoted = {text: _quote(text) for text in set(texts)}
+    return [quoted[text] for text in texts]
+
+
+def _text(value) -> str:
+    """A cell's text before quoting, as ``csv.writer`` makes it."""
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return ""
+    return float.__repr__(value) if isinstance(value, float) else str(value)
+
+
+def _quote(text: str) -> str:
+    """``text`` quoted as the csv module quotes a field (only where needed)."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text, None))
+    return buffer.getvalue()[: -len(",\n")]
 
 
 def load_csv(path, label_column: str) -> Dataset:

@@ -502,8 +502,7 @@ def _attach_ttests(rate_reports: list[EvalReport]) -> list[EvalReport]:
 
 def write_curve(path, curve: Curve) -> None:
     """Write a ROC/PR curve as a ``threshold,x,y`` CSV, one row per threshold."""
-    write_csv(path, ["threshold", "x", "y"],
-              zip(curve.threshold.tolist(), curve.x.tolist(), curve.y.tolist()))
+    write_csv(path, ["threshold", "x", "y"], [curve.threshold, curve.x, curve.y])
 
 
 def emit_reports(reports: list[EvalReport], out_dir) -> list[str]:

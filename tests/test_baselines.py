@@ -75,6 +75,43 @@ def per_class_hinge(ds, rep, cfg):
     return weights, biases
 
 
+def where_hinge_steps(represented, indicator, cfg):
+    """Reference: the stacked hinge loop with a fresh ``np.where`` array per iteration."""
+    represented = represented[:, None]
+    n, dim = represented.shape[-2:]
+    alpha = cfg.alpha
+
+    weights = np.zeros(indicator.shape[:-1] + (dim,))
+    biases = np.zeros(indicator.shape[:-1])
+    margins_comp = np.ones_like(indicator)
+    best = np.ones(biases.shape)
+    best_weights, best_biases = weights.copy(), biases.copy()
+    failed = np.zeros(indicator.shape[:-2], dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, cfg.max_iters + 1):
+            active = np.where(margins_comp > 0.0, indicator, 0.0)
+            grad_w = -(active @ represented) / n + 2.0 * alpha * weights
+            grad_b = -active.sum(axis=-1) / n
+            step = cfg.step_size / np.sqrt(t)
+            weights = weights - step * grad_w
+            biases = biases - step * grad_b
+            scores = weights @ represented.swapaxes(-1, -2) + biases[..., None]
+            margins_comp = 1.0 - indicator * scores
+            penalty = alpha * (weights * weights).sum(axis=-1)
+            value = np.maximum(margins_comp, 0.0).sum(axis=-1) / n + penalty
+            finite = np.isfinite(value)
+            if not finite.all():
+                first = (failed == 0) & ~finite.all(axis=-1)
+                failed[first] = np.argmin(finite, axis=-1)[first] + 1
+                if failed.all():
+                    break
+            improved = value < best
+            np.copyto(best, value, where=improved)
+            np.copyto(best_weights, weights, where=improved[..., None])
+            np.copyto(best_biases, biases, where=improved)
+    return best_weights, best_biases, failed
+
+
 def noisy_blobs(num_classes, per_class, dim, seed):
     rng = np.random.default_rng(seed)
     means = 2.0 * rng.standard_normal((num_classes, dim))
@@ -285,6 +322,31 @@ class TestHingeBatch:
             lone = train_hinge(cell, rep, cfg)
             assert np.array_equal(model.weights, lone.weights)
             assert np.array_equal(model.biases, lone.biases)
+
+    def test_batch_matches_the_where_loop_bit_for_bit(self):
+        # two stacked splits of two label sets each; the second split's features
+        # are small integers times 2**512, so sums of them are exact
+        rng = np.random.default_rng(0)
+        plain = rng.standard_normal((12, 2))
+        half = rng.integers(-3, 4, (6, 2)).astype(float)
+        huge = np.vstack([half, -half]) * 2.0**512
+        mirrored = np.tile(rng.integers(1, 4, 6), 2)  # the w subgradient cancels exactly
+        labels = [rng.integers(1, 4, 12), rng.integers(1, 4, 12), mirrored, rng.integers(1, 4, 12)]
+        cells = [tiny_dataset(x, l, 3) for x, l in zip([plain, plain, huge, huge], labels)]
+        splits = [(linear_representation(), cells[:2]), (linear_representation(), cells[2:])]
+        cfg = BaselineConfig(alpha=0.05, max_iters=40, step_size=30.0)
+        indicator = np.stack([label_indicator(l, 3) for l in labels]).reshape(2, 2, 3, 12)
+        want_w, want_b, want_failed = where_hinge_steps(np.stack([plain, huge]), indicator, cfg)
+        assert want_failed.tolist() == [[0, 0], [0, 1]]  # one cell turns non-finite
+        at_zero = ~want_w.any(axis=-1) & (want_b == 0)
+        assert at_zero[0, 0].tolist() == [False, False, True]  # one class keeps the zero start
+
+        results = [r for models in train_hinge_batch(splits, cfg) for r in models]
+        assert str(results[3]) == "class 1: hinge objective became non-finite (step size too large?)"
+        for (s, c), model in zip([(0, 0), (0, 1), (1, 0)], results[:3]):
+            for got, want in ((model.weights, want_w[s, c]), (model.biases, want_b[s, c])):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_datasets_of_one_split_must_share_features(self):
         a = tiny_dataset([[1.0], [-1.0]], [1, 2], 2)

@@ -1,6 +1,8 @@
-"""Property tests at input boundaries: a malformed input works or fails with one error line."""
+"""Property tests at boundaries: a malformed input works or fails with one error line, and
+the CSV writer writes what the csv module would."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -11,7 +13,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from correntia import KernelSpec, Model, kernel_representation, load_model, save_model
+from correntia import KernelSpec, Model, kernel_representation, load_model, save_model, write_csv
 from correntia.cli import main
 
 
@@ -82,3 +84,50 @@ def test_model_file_loads_or_fails_with_one_error_line(mutation):
             assert stderr.getvalue().startswith(f"error: {model_path}: ")
             assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
             assert not out.exists()
+
+
+# write_csv against csv.writer: text cells that need quoting, awkward floats
+# (repeated, so a column has fewer distinct values than cells) and every column kind.
+CELL_TEXT = st.text(alphabet=[",", '"', "\n", "\r", " ", "a", "é", "ß", " "], max_size=4)
+AWKWARD_FLOATS = st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16,
+                                  0.1 + 0.2, 1.0]) | st.floats()
+
+
+def _columns(kind, rows):
+    cells = {
+        "float-array": AWKWARD_FLOATS,
+        "floats": AWKWARD_FLOATS,
+        "ints": st.integers(-(2**70), 2**70),
+        "text": CELL_TEXT,
+        "mixed": st.one_of(st.none(), st.booleans(), st.integers(), AWKWARD_FLOATS, CELL_TEXT),
+    }[kind]
+    column = st.lists(cells, min_size=rows, max_size=rows)
+    return column.map(np.array) if kind == "float-array" else column
+
+
+@st.composite
+def csv_tables(draw):
+    width, rows = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    header = draw(st.lists(CELL_TEXT, min_size=width, max_size=width))
+    kinds = draw(st.lists(st.sampled_from(["float-array", "floats", "ints", "text", "mixed"]),
+                          min_size=width, max_size=width))
+    return header, [draw(_columns(kind, rows)) for kind in kinds]
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_tables())
+@example((["x"], [[""]]))
+@example(([""], [np.array([], dtype=float)]))
+@example((["a,b", 'q"uote'], [np.array([-0.0, 0.0, -0.0, math.nan]), ["", "\r", "é\n", ""]]))
+@example((["t", "x", "y"], [np.array([math.inf, 1e16, 5e-324]), np.array([0.1 + 0.2] * 3),
+                            np.array([-math.inf, math.nan, math.nan])]))
+def test_write_csv_bytes_match_csv_writer(table):
+    header, columns = table
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(path, header, columns)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")

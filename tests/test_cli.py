@@ -369,6 +369,50 @@ class TestErrors:
         assert run_cli(["experiment", "--config", cfg, "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    # Output destinations are checked before any input is read: the inputs
+    # named here do not exist, so reading one first would fail differently.
+    @pytest.mark.parametrize("argv, flag, bad, reason", [
+        (["train", "--method", "regmaxcem", "--model-out", "{missing}/m.json",
+          "--trace-out", "{tmp}/t.csv"],
+         "--model-out", "{missing}/m.json", "directory {missing} does not exist"),
+        (["train", "--method", "regmaxcem", "--model-out", "{tmp}/m.json",
+          "--trace-out", "{missing}/t.csv"],
+         "--trace-out", "{missing}/t.csv", "directory {missing} does not exist"),
+        (["train", "--method", "square", "--model-out", "{tmp}"],
+         "--model-out", "{tmp}", "is a directory"),
+        (["predict", "--model", "{tmp}/absent.json", "--out", "{tmp}"],
+         "--out", "{tmp}", "is a directory"),
+        (["predict", "--model", "{tmp}/absent.json", "--out", "{file}/p.csv"],
+         "--out", "{file}/p.csv", "{file} is not a directory"),
+        (["eval", "--model", "{tmp}/absent.json", "--out-dir", "{file}"],
+         "--out-dir", "{file}", "{file} is not a directory"),
+        (["eval", "--model", "{tmp}/absent.json", "--out-dir", "{file}/curves/new"],
+         "--out-dir", "{file}/curves/new", "{file} is not a directory"),
+        (["experiment", "--config", "{tmp}/absent.json", "--out", "{file}"],
+         "--out", "{file}", "{file} is not a directory"),
+        (["synth", "--means", "1,0;-1,0", "--out", "{tmp}"],
+         "--out", "{tmp}", "is a directory"),
+    ], ids=["train-model-dir", "train-trace-dir", "train-model-is-dir", "predict-out-is-dir",
+            "predict-out-under-file", "eval-out-dir-is-file", "eval-out-dir-under-file",
+            "experiment-out-is-file", "synth-out-is-dir"])
+    def test_unwritable_output_fails_first_naming_the_flag(self, tmp_path, capsys, argv, flag,
+                                                           bad, reason):
+        places = {"tmp": tmp_path, "missing": tmp_path / "missing", "file": tmp_path / "file.txt"}
+        places["file"].write_text("not a directory\n")
+
+        def fill(text):
+            return text.format(**places)
+
+        inputs = {"train": ["--data", tmp_path / "absent.csv", "--label-col", "label"],
+                  "predict": ["--data", tmp_path / "absent.csv"],
+                  "eval": ["--data", tmp_path / "absent.csv", "--label-col", "label"]}
+        code = run_cli([*map(fill, argv), *inputs.get(argv[0], [])])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} {fill(bad)}: {fill(reason)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+
 
 class TestExperiment:
     def _config(self, tmp_path):

@@ -188,7 +188,7 @@ class TestRunExperiment:
         # 3's training half holds one row of the pair, split 2's holds both and
         # noise 0.3 relabels one of them, splits 0 and 1 stay healthy.
         data = tmp_path / "pair.csv"
-        write_csv(data, ["x", "y"], [(0.0, 1 + i % 2) for i in range(20)] + [(1.0, 1), (-1.0, 1)])
+        write_csv(data, ["x", "y"], [[0.0] * 20 + [1.0, -1.0], [1 + i % 2 for i in range(20)] + [1, 1]])
         hinge = MethodSpec("hinge", alpha=1e6, step_size=10.0, iters=50)
         cfg = blob_config(
             methods=(hinge, MethodSpec("square")),
