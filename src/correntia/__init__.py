@@ -72,16 +72,18 @@ from .kernels import (
 from .regmaxcem import (
     DegenerateClassError,
     Model,
+    PreparedColumns,
     TrainConfig,
     TrainTrace,
     e_step,
     load_model,
     m_step,
     predict_labels,
+    prepare_columns,
     save_model,
     score_matrix,
     train,
 )
 from .seeding import child_seed, make_rng
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

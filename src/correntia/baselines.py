@@ -14,8 +14,9 @@ cells of a sweep (noise rates x splits) in the same loop through stacked
 matmuls; :func:`train_hinge` is a batch of one.  The logistic trainer
 takes damped Newton steps (iteratively reweighted least squares), each a
 weighted ridge solve of all L classes by the same :func:`m_step` that the
-square and correntropy trainers use; in kernel mode one Gram matrix serves
-every step of a fit.  Only the hinge trainer takes a step size.
+square and correntropy trainers use, on columns prepared once per fit (in
+kernel mode with one Gram matrix).  Only the hinge trainer takes a step
+size.
 """
 
 from collections.abc import Sequence
@@ -26,7 +27,14 @@ from scipy.linalg.blas import dgemm
 
 from .dataset import Dataset, label_indicator
 from .kernels import Representation, represent_matrix
-from .regmaxcem import DegenerateClassError, Model, m_step, shifted_gram
+from .regmaxcem import (
+    DegenerateClassError,
+    Model,
+    _check_alpha,
+    _check_max_iters,
+    m_step,
+    prepare_columns,
+)
 
 __all__ = ["BaselineConfig", "train_square", "train_hinge", "train_hinge_batch", "train_logistic"]
 
@@ -39,6 +47,8 @@ class BaselineConfig:
     not used by logistic, whose Newton steps need none; ``tol`` is the
     logistic gradient-norm stop, ``||gradient|| <= tol * (1 + |loss|)`` per
     class.  The closed-form :func:`train_square` takes only ``alpha``.
+    ``alpha`` must be finite and >= 0 and ``max_iters`` an integer >= 1, as
+    in :class:`~correntia.regmaxcem.TrainConfig`; else ``ValueError``.
     """
 
     alpha: float = 0.01
@@ -47,10 +57,8 @@ class BaselineConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        _check_alpha(self.alpha)
+        _check_max_iters(self.max_iters)
         if not self.step_size > 0:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if not self.tol >= 0:
@@ -226,7 +234,7 @@ def train_logistic(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Mod
     represented = represent_matrix(ds.features, rep).T  # D' x n, as m_step takes it
     indicator = label_indicator(ds.labels, ds.num_classes)
     n, alpha = ds.n_samples, cfg.alpha
-    gram = shifted_gram(represented) if represented.shape[0] >= n else None  # one per fit
+    columns = prepare_columns(represented)  # one per fit, shared by every Newton step
 
     def scores_and_loss(w, b):
         f = dgemm(1.0, w, represented) + b[:, None]
@@ -243,7 +251,7 @@ def train_logistic(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Mod
         h = expit(scores) * expit(-scores)
         working = scores + indicator / expit(indicator * scores)
         try:
-            trial_w, trial_b = m_step(-h / 2.0, represented, working, alpha, gram=gram)
+            trial_w, trial_b = m_step(-h / 2.0, represented, working, alpha, columns=columns)
         except DegenerateClassError as exc:
             raise FloatingPointError(
                 f"class {exc.class_index}: separable at alpha={alpha!r}, so its logistic "

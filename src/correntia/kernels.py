@@ -108,9 +108,13 @@ def gram(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     # Local import: scipy.spatial adds ~0.1 s to start-up; only kernel mode uses it.
     from scipy.spatial.distance import cdist
 
-    sq = cdist(rows, cols, metric="sqeuclidean")
+    # exp(-d / (2 b^2)), each step written into cdist's own output: fresh
+    # temporaries of this size cost more in page faults than in arithmetic
+    kernel = cdist(rows, cols, metric="sqeuclidean")
+    np.negative(kernel, out=kernel)
     with np.errstate(over="ignore"):  # a quotient of -inf gives the exact limit 0
-        return np.exp(-sq / (2.0 * spec.bandwidth**2))
+        np.divide(kernel, 2.0 * spec.bandwidth**2, out=kernel)
+        return np.exp(kernel, out=kernel)
 
 
 def represent_matrix(X: np.ndarray, rep: Representation) -> np.ndarray:

@@ -21,27 +21,30 @@ equivalent formulation used here).  The very first weight update sees the
 uniform auxiliary matrix and uses the plain ridge parameter, which makes
 it coincide with the closed-form square-loss baseline.
 
-The weight update picks one of two equivalent forms by shape alone.  Both
-first shift the columns by their unweighted mean and take every class's
-weighted mean of the shifted columns in one product.  With fewer
-represented dimensions ``D'`` than samples ``N`` it factors one
-``D' x D'`` system per class, built from raw weighted moments of the
-shifted columns and centered by one rank-1 update; every class's
-right-hand side comes from one product.  Otherwise, which is every kernel
-fit, it factors one ``N x N`` system per class, each a rescaled and
-rank-2 centered copy of a single Gram matrix of the shifted columns that
-``train`` builds once per fit: O(N^3) once, then O(L N^3 / 3) per round
-for the Cholesky factors.
+The represented columns stay the same for a whole fit, so ``train``
+prepares them once (``prepare_columns``): it checks that they are finite,
+shifts them by their unweighted mean and, when there are at least as many
+represented dimensions ``D'`` as samples ``N``, builds the ``N x N`` Gram
+matrix of the shifted columns.  Every round's weight update reads that
+one prepared value.  The update picks one of two equivalent forms by
+shape alone, and both take every class's weighted mean of the shifted
+columns in one product.  With ``D' < N`` it factors one ``D' x D'``
+system per class, built from raw weighted moments of the shifted columns
+and centered by one rank-1 update; every class's right-hand side comes
+from one product.  Otherwise, which is every kernel fit, it factors one
+``N x N`` system per class, each a rescaled and rank-2 centered copy of
+the prepared Gram: O(N^3) once, then O(L N^3 / 3) per round for the
+Cholesky factors, which call LAPACK's ``dpotrf`` and ``dpotrs`` directly.
 
 Training is deterministic: the per-class ridge solves are independent and
 run one after another, and reruns with the same BLAS thread count give
 identical models.  Every matrix product of training and scoring large
 enough for BLAS to thread runs on the BLAS that scipy links (``dgemm``,
-``dgemv``, ``dsyrk``, ``dsyr``, ``dsyr2``, the Cholesky factor and solve), not
-through numpy's ``@``; only per-class dot products and the ``alpha = 0``
-least-squares solve stay on numpy.  The numpy and scipy wheels each
-bundle their own OpenBLAS, each with its own thread pool, and OpenBLAS
-workers keep spinning for a while after a call: switching libraries
+``dgemv``, ``dsyrk``, ``dsyr``, ``dsyr2``, and the Cholesky factor and solve
+on its LAPACK), not through numpy's ``@``; only per-class dot products and
+the ``alpha = 0`` least-squares solve stay on numpy.  The numpy and scipy
+wheels each bundle their own OpenBLAS, each with its own thread pool, and
+OpenBLAS workers keep spinning for a while after a call: switching libraries
 within a round left one pool's idle workers taking the CPUs from the
 other's busy ones, which made kernel training at two threads about twice
 as slow as at one.
@@ -52,6 +55,7 @@ Trained models are immutable and safe to share across threads.
 """
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 
@@ -59,8 +63,8 @@ import numpy as np
 
 # Kept at module level: deferred into m_step, its ~0.25 s import would land
 # inside the first train() call instead of at `import correntia`.
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dgemm, dgemv, dsyr, dsyr2, dsyrk
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .correntropy import SigmaPolicy, g_sigma, objective, sigma_heuristic
 from .dataset import Dataset, label_indicator
@@ -69,11 +73,13 @@ from .kernels import KernelSpec, Representation, linear_representation, represen
 __all__ = [
     "DegenerateClassError",
     "Model",
+    "PreparedColumns",
     "TrainConfig",
     "TraceRecord",
     "TrainTrace",
     "e_step",
     "m_step",
+    "prepare_columns",
     "train",
     "score_matrix",
     "predict_labels",
@@ -152,10 +158,11 @@ class Model:
 class TrainConfig:
     """Trainer settings.
 
-    ``alpha`` is the regularization tradeoff, ``max_iters`` the round count
-    ``T``, and ``tol`` stops early once the largest absolute parameter
-    change in a round falls below it.  ``trace=True`` records per-round
-    (objective, sigma, max parameter change).
+    ``alpha`` is the regularization tradeoff (finite, >= 0), ``max_iters``
+    the round count ``T`` (an integer >= 1), and ``tol`` stops early once
+    the largest absolute parameter change in a round falls below it.
+    ``trace=True`` records per-round (objective, sigma, max parameter
+    change).  A value out of range raises ``ValueError``.
     """
 
     alpha: float = 0.01
@@ -166,12 +173,26 @@ class TrainConfig:
     trace: bool = False
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        _check_alpha(self.alpha)
+        _check_max_iters(self.max_iters)
         if not self.tol >= 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
+
+
+def _check_alpha(alpha) -> None:
+    """Raise ``ValueError`` unless ``alpha`` is a finite number >= 0."""
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+
+
+def _check_max_iters(max_iters) -> None:
+    """Raise ``ValueError`` unless ``max_iters`` is an integer >= 1 (a bool is not)."""
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral):
+        raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -205,25 +226,41 @@ def e_step(scores: np.ndarray, indicator: np.ndarray, sigma: float) -> AuxMatrix
     return -g_sigma(scores - indicator, sigma)
 
 
-def shifted_gram(represented: np.ndarray) -> np.ndarray:
-    """Lower triangle of ``S.T @ S`` for the columns ``S`` of ``represented``
-    shifted by their unweighted mean, an ``N x N`` matrix built by one ``dsyrk``.
+@dataclass(frozen=True)
+class PreparedColumns:
+    """The represented columns of one fit in the form every ``m_step`` call reads.
 
-    ``m_step`` solves through it when ``D' >= N``; ``train`` builds it once
-    per fit and passes it to every round.
+    ``offset`` is the unweighted column mean (length ``D'``), ``shifted`` the
+    columns minus it (``D' x N``, Fortran order) and ``gram`` the lower
+    triangle of ``shifted.T @ shifted`` (``N x N``) when ``D' >= N``, else
+    ``None``.  Built by :func:`prepare_columns`; the arrays are read-only.
     """
-    return dsyrk(1.0, _shift(represented)[1], trans=1, lower=1)
+
+    offset: np.ndarray
+    shifted: np.ndarray
+    gram: np.ndarray | None
 
 
-def _shift(represented: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The unweighted column mean, and the columns minus it in Fortran order.
+def prepare_columns(represented: np.ndarray) -> PreparedColumns:
+    """Check, shift and (when ``D' >= N``) Gram the columns of ``represented`` once.
 
-    One memory order for every caller: BLAS rounds differently per layout,
-    and ``dsyrk`` reads the Fortran-ordered columns in place.
+    ``train`` and the logistic baseline call this once per fit and hand the
+    result to every round's ``m_step``.  The shifted columns are Fortran
+    ordered for every caller: BLAS rounds differently per layout, and
+    ``dsyrk`` reads them in place.  The Gram is one ``dsyrk``.  Raises
+    ``ValueError`` if ``represented`` is not finite.
     """
     represented = np.asfortranarray(represented, dtype=np.float64)
+    if not np.all(np.isfinite(represented)):
+        raise ValueError("represented must be finite")
     offset = represented.mean(axis=1)
-    return offset, represented - offset[:, None]
+    shifted = represented - offset[:, None]
+    dim, n = shifted.shape
+    gram = dsyrk(1.0, shifted, trans=1, lower=1) if dim >= n else None
+    for array in (offset, shifted, gram):
+        if array is not None:
+            array.setflags(write=False)
+    return PreparedColumns(offset, shifted, gram)
 
 
 def m_step(
@@ -232,7 +269,7 @@ def m_step(
     indicator: np.ndarray,
     alpha: float,
     *,
-    gram: np.ndarray | None = None,
+    columns: PreparedColumns | None = None,
 ):
     """Per-class weighted ridge solve given auxiliary weights.
 
@@ -246,10 +283,10 @@ def m_step(
     is what makes the bias gradient vanish exactly.  With ``A`` the centered
     columns scaled by ``u``, the solution is ``w = (A A^T + alpha I)^-1 A t``
     for the scaled, centered targets ``t``, which equals ``A (A^T A + alpha
-    I)^-1 t``.  Both forms shift the columns by their unweighted mean, so
-    that large offsets do not cancel, and take every class's weighted mean
-    of the shifted columns by one ``dgemm``.  The form is chosen by shape
-    only:
+    I)^-1 t``.  Both forms read the columns shifted by their unweighted mean
+    (see :func:`prepare_columns`), so that large offsets do not cancel, and
+    take every class's weighted mean of the shifted columns by one
+    ``dgemm``.  The form is chosen by shape only:
 
     * ``D' < N`` (feature space): the ``D' x D'`` system ``A A^T`` is built,
       lower triangle only, from raw moments: one ``dsyrk`` per class of the
@@ -259,15 +296,18 @@ def m_step(
       row sum of ``u^2 (y - y_mean)`` (zero in exact arithmetic), which
       keeps a down-weighted class's weights at their true, tiny size.
     * ``D' >= N`` (sample space, every kernel fit): the ``N x N`` Gram of
-      the shifted columns is built by one ``dsyrk`` (see ``gram``).
-      Per class it is rescaled to ``diag(u) G diag(u)``, centered on the
-      weighted mean by one rank-2 ``dsyr2`` update, solved for ``beta``,
-      and ``w = A beta`` is recovered by one ``dgemv``.
+      the shifted columns (``columns.gram``) is, per class, rescaled to
+      ``diag(u) G diag(u)``, centered on the weighted mean by one rank-2
+      ``dsyr2`` update, solved for ``beta``, and ``w = A beta`` is
+      recovered by one ``dgemv``.
 
     With ``alpha > 0`` each system is symmetric positive definite in exact
-    arithmetic and solved by Cholesky; with ``alpha = 0`` a least-squares
-    solve is used instead (no definiteness guarantee), and both forms give
-    the minimum-norm solution.  The inputs are never modified.
+    arithmetic and solved by Cholesky, calling LAPACK's ``dpotrf`` and
+    ``dpotrs`` directly (the routines ``scipy.linalg.cho_factor`` and
+    ``cho_solve`` wrap, with the same results); with ``alpha = 0`` a
+    least-squares solve is used instead (no definiteness guarantee), and
+    both forms give the minimum-norm solution.  The inputs are never
+    modified.
 
     Parameters
     ----------
@@ -280,10 +320,12 @@ def m_step(
         Finite regression targets: the +-1 indicator targets here and in the
         square baseline, the working responses in the logistic baseline.
     alpha : float
-        Ridge parameter (>= 0).
-    gram : ndarray of shape (N, N), optional
-        ``shifted_gram(represented)``, used by the sample-space form only;
-        built here when omitted.  ``train`` builds it once per fit.
+        Ridge parameter (finite, >= 0).
+    columns : PreparedColumns, optional
+        ``prepare_columns(represented)``; built here when omitted, so a lone
+        call checks and shifts ``represented`` itself.  ``train`` and the
+        logistic baseline build it once per fit; given, ``represented`` is
+        only checked against its shape.
 
     Returns
     -------
@@ -292,8 +334,8 @@ def m_step(
     Raises
     ------
     ValueError
-        If ``alpha < 0``, the shapes disagree, an input is not finite
-        (the argument is named) or an ``aux`` entry is positive.
+        If ``alpha`` is negative or not finite, the shapes disagree, an input
+        is not finite (the argument is named) or an ``aux`` entry is positive.
     DegenerateClassError
         If, for a class, the sum over samples of ``sqrt(-aux / N)`` is below
         1e-12 (every sample down-weighted to numerical zero); the first
@@ -311,14 +353,17 @@ def m_step(
         raise ValueError(f"aux shape {aux.shape} does not match indicator shape {indicator.shape}")
     if represented.shape[1] != n:
         raise ValueError(f"represented has {represented.shape[1]} columns, expected {n}")
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    for name, value in (("aux", aux), ("represented", represented), ("indicator", indicator)):
+    if columns is not None and columns.shifted.shape != represented.shape:
+        raise ValueError(
+            f"columns were prepared for shape {columns.shifted.shape}, "
+            f"expected {represented.shape}"
+        )
+    _check_alpha(alpha)
+    for name, value in (("aux", aux), ("indicator", indicator)):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite")
-    positive = np.argwhere(aux > 0)
-    if positive.size:
-        l, i = positive[0]
+    if (aux > 0).any():
+        l, i = np.argwhere(aux > 0)[0]
         raise ValueError(f"aux entries must be <= 0, got {float(aux[l, i])!r} in class {l + 1}")
     dim = represented.shape[0]
 
@@ -334,7 +379,9 @@ def m_step(
     # from a process's second kernel fit on.
     weights = np.empty((num_classes, dim))
     biases = np.empty(num_classes)
-    offset, shifted = _shift(represented)
+    if columns is None:
+        columns = prepare_columns(represented)
+    offset, shifted, gram = columns.offset, columns.shifted, columns.gram
     # Weighted means of the shifted columns, built C-ordered (D' x L): the
     # bias dot below then reads the columns of x_means with a stride, and a
     # contiguous read would round the biases differently.
@@ -344,12 +391,8 @@ def m_step(
     # the near-tied biases of a collapsed model depend on those last bits.
     y_means = (indicator[:, None, :] @ u_sq[:, :, None]).ravel() / totals
 
-    sample_space = dim >= n
+    sample_space = gram is not None
     if sample_space:
-        if gram is None:
-            gram = shifted_gram(represented)
-        elif gram.shape != (n, n):
-            raise ValueError(f"gram has shape {gram.shape}, expected {(n, n)}")
         # With g = S^T d and c = d @ d for the weighted mean d of the shifted
         # columns, centering the Gram subtracts 1 h^T + h 1^T for h = g - c/2.
         with np.errstate(over="ignore", invalid="ignore"):  # caught on the diagonal
@@ -391,25 +434,26 @@ def m_step(
 
 def _ridge_solve(system: np.ndarray, rhs: np.ndarray, alpha: float, l: int) -> np.ndarray:
     """Solve ``(system + alpha I) x = rhs`` for class index ``l``, given the
-    lower triangle of a symmetric ``system``, which is overwritten."""
+    lower triangle of a symmetric, Fortran-ordered ``system``, which is
+    overwritten."""
     # The system is a scaled Gram matrix, so an overflow anywhere in it shows
     # on its diagonal; the factorization skips its own finiteness scan and
     # would return zeros or NaN.
-    if not np.all(np.isfinite(system.diagonal())):
+    diagonal = system.ravel(order="K")[:: len(system) + 1]  # a view: system is contiguous
+    if not np.isfinite(diagonal).all():
         raise FloatingPointError(
             f"class {l + 1}: the weighted ridge system overflowed; "
             f"the represented features are too large, rescale them"
         )
     if alpha > 0:
-        system[np.diag_indices(len(system))] += alpha
-        try:
-            factor = cho_factor(system, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
+        diagonal += alpha
+        factor, info = dpotrf(system, lower=1, overwrite_a=1, clean=0)
+        if info != 0:
             raise FloatingPointError(
                 f"class {l + 1}: the weighted ridge system is not positive definite; "
                 f"alpha={alpha!r} is too small for near-singular data, use a larger alpha"
-            ) from exc
-        return cho_solve(factor, rhs, check_finite=False)
+            )
+        return dpotrs(factor, rhs, lower=1)[0]
     system = np.tril(system) + np.tril(system, -1).T
     return np.linalg.lstsq(system, rhs, rcond=None)[0]
 
@@ -437,11 +481,10 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[Model, TrainTrace]:
     prev_w = np.zeros((ds.num_classes, represented.shape[0]))
     prev_b = np.zeros(ds.num_classes)
     records = []
-    # One Gram for every round's sample-space solve (see m_step)
-    gram = shifted_gram(represented) if represented.shape[0] >= n else None
+    columns = prepare_columns(represented)  # shared by every round (see m_step)
 
     for _ in range(cfg.max_iters):
-        weights, biases = m_step(aux, represented, indicator, ridge, gram=gram)
+        weights, biases = m_step(aux, represented, indicator, ridge, columns=columns)
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
             raise FloatingPointError(
                 "non-finite parameters in the weight update; "

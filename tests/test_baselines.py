@@ -447,3 +447,16 @@ class TestBaselineConfig:
             BaselineConfig(step_size=0.0)
         with pytest.raises(ValueError, match="step_size"):
             BaselineConfig(step_size=math.nan)
+
+    def test_infinite_alpha_rejected(self):
+        with pytest.raises(ValueError, match=r"^alpha must be finite, got inf$"):
+            BaselineConfig(alpha=math.inf)
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_max_iters_rejected(self, value):
+        # max_iters counts loop rounds: a float fails mid-training, True would mean 1
+        with pytest.raises(ValueError, match=f"^max_iters must be an integer, got {value!r}$"):
+            BaselineConfig(max_iters=value)
+
+    def test_integer_max_iters_accepted(self):
+        assert BaselineConfig(max_iters=np.int64(3)).max_iters == 3

@@ -244,6 +244,15 @@ class TestErrors:
         assert capsys.readouterr().err == "error: alpha must be >= 0, got -1.0\n"
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("method", ["regmaxcem", "square", "hinge", "logistic"])
+    def test_infinite_alpha_is_one_line_error(self, tmp_path, blob_csv, method, capsys):
+        # an infinite ridge zeroes the linear-system methods and breaks the iterative ones
+        code = run_cli(["train", "--data", blob_csv, "--label-col", "label", "--method", method,
+                        "--model-out", tmp_path / "m.json", "--alpha", "inf"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: alpha must be finite, got inf\n"
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("method", ["regmaxcem", "hinge"])
     def test_overflowing_linear_kernel_is_one_line_error(self, tmp_path, method):
         # a child interpreter, so numpy warnings reach stderr as they would for a user

@@ -422,18 +422,78 @@ class TestMStep:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05])
     def test_precomputed_gram_changes_nothing(self, alpha):
+        # columns prepared once per fit, with the Gram in the wide form, give
+        # the bits that m_step gets by preparing them itself, in both forms
         rng = np.random.default_rng(18)
-        represented = rng.standard_normal((30, 20)) + 3.0
-        aux, indicator = random_aux_and_indicator(rng, 3, 20)
-        gram = regmaxcem.shifted_gram(represented)
-        for a in (represented, gram):
-            a.setflags(write=False)  # neither is written to
-        given = m_step(aux, represented, indicator, alpha, gram=gram)
-        built = m_step(aux, represented, indicator, alpha)
-        for a, b in zip(given, built):
-            np.testing.assert_array_equal(a, b)
-        with pytest.raises(ValueError, match=r"gram has shape \(19, 19\), expected \(20, 20\)"):
-            m_step(aux, represented, indicator, alpha, gram=gram[1:, 1:])
+        for dim in (5, 30):
+            represented = rng.standard_normal((dim, 20)) + 3.0
+            aux, indicator = random_aux_and_indicator(rng, 3, 20)
+            represented.setflags(write=False)
+            columns = regmaxcem.prepare_columns(represented)
+            assert (columns.gram is None) == (dim < 20)
+            for a in (columns.offset, columns.shifted, columns.gram):
+                assert a is None or not a.flags.writeable  # shared by every round of a fit
+            given = m_step(aux, represented, indicator, alpha, columns=columns)
+            built = m_step(aux, represented, indicator, alpha)
+            for a, b in zip(given, built):
+                np.testing.assert_array_equal(a, b)
+            other = regmaxcem.prepare_columns(represented[:, 1:])
+            message = rf"columns were prepared for shape \({dim}, 19\), expected \({dim}, 20\)"
+            with pytest.raises(ValueError, match=message):
+                m_step(aux, represented, indicator, alpha, columns=other)
+
+    def test_prepare_columns_rejects_non_finite(self):
+        represented = np.ones((3, 4))
+        represented[2, 1] = np.inf
+        with pytest.raises(ValueError, match="^represented must be finite$"):
+            regmaxcem.prepare_columns(represented)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5])
+    def test_lapack_solve_equals_cho_solve(self, alpha):
+        # dpotrf/dpotrs are what cho_factor/cho_solve wrap: equal bit for bit
+        rng = np.random.default_rng(20)
+        a = rng.standard_normal((12, 30))
+        system = np.asfortranarray(a @ a.T)
+        rhs = rng.standard_normal(12)
+        expected = cho_solve(cho_factor(system + alpha * np.eye(12), lower=True), rhs)
+        np.testing.assert_array_equal(regmaxcem._ridge_solve(system, rhs, alpha, 0), expected)
+
+    def test_system_not_positive_definite_names_the_class(self):
+        system = np.asfortranarray(-np.eye(4))
+        with pytest.raises(
+            FloatingPointError, match="^class 3: the weighted ridge system is not positive definite"
+        ):
+            regmaxcem._ridge_solve(system, np.ones(4), 0.5, 2)
+
+    @pytest.mark.parametrize("trainer", ["train", "train_logistic"])
+    def test_trainers_reject_non_finite_represented(self, trainer, monkeypatch):
+        # Dataset rejects non-finite features, so poison the representation step
+        def poisoned(X, rep):
+            represented = np.array(X, dtype=np.float64)
+            represented[3, 0] = np.nan
+            return represented
+
+        module = regmaxcem if trainer == "train" else baselines
+        monkeypatch.setattr(module, "represent_matrix", poisoned)
+        ds = two_blob_dataset(seed=8)
+        with pytest.raises(ValueError, match="^represented must be finite$"):
+            if trainer == "train":
+                train(ds, TrainConfig())
+            else:
+                baselines.train_logistic(ds, linear_representation(), BaselineConfig())
+
+    def test_infinite_alpha_rejected(self):
+        rng = np.random.default_rng(21)
+        aux, indicator = random_aux_and_indicator(rng, 2, 10)
+        with pytest.raises(ValueError, match="^alpha must be finite, got inf$"):
+            m_step(aux, rng.standard_normal((3, 10)), indicator, math.inf)
+        with pytest.raises(ValueError, match="^alpha must be finite, got inf$"):
+            TrainConfig(alpha=math.inf)
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_max_iters_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^max_iters must be an integer, got {value!r}$"):
+            TrainConfig(max_iters=value)
 
     @pytest.mark.parametrize(
         "field, message",
