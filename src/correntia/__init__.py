@@ -8,13 +8,7 @@ comes from ``scipy.special``), and a deterministic experiment harness for
 label-noise robustness studies.
 """
 
-from .baselines import (
-    BaselineConfig,
-    train_hinge,
-    train_hinge_batch,
-    train_logistic,
-    train_square,
-)
+from .baselines import BaselineConfig, train_hinge, train_logistic, train_square
 from .correntropy import (
     SigmaPolicy,
     correntropy_estimate,
@@ -86,4 +80,4 @@ from .regmaxcem import (
 )
 from .seeding import child_seed, make_rng
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="tradeoff parameter, or 'grid' for inner-CV selection over 1e-4..1")
     t.add_argument("--iters", default=argparse.SUPPRESS, type=int)
     t.add_argument("--tol", default=argparse.SUPPRESS, type=float)
-    t.add_argument("--step-size", default=argparse.SUPPRESS, type=float)
     t.add_argument("--sigma", default=argparse.SUPPRESS, type=_number_or("adaptive"))
     t.add_argument("--sigma-floor", default=argparse.SUPPRESS, type=float)
     t.add_argument("--trace-out", default=None,

@@ -12,9 +12,8 @@ split that cannot be represented raises.  Every cell is then a plain
 linear problem on those represented features.  The noisy training sets of
 every rate are drawn from the represented training side before any
 training, since noise depends only on the labels.  Each method then
-trains on all of its cells in one call (:func:`train_cells`): the hinge
-cells are stepped together in one batched loop, the other methods' cells
-one after another.  Failures inside one cell (training or scoring) are
+trains on its cells one after another (:func:`train_cells`), each through
+:func:`train_method`.  Failures inside one cell (training or scoring) are
 caught and recorded on that method's report instead of aborting the sweep.
 Cells are mutually independent, and report order always follows the
 config regardless of how cells are scheduled.
@@ -27,13 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import (
-    BaselineConfig,
-    train_hinge,
-    train_hinge_batch,
-    train_logistic,
-    train_square,
-)
+from .baselines import BaselineConfig, train_hinge, train_logistic, train_square
 from .correntropy import DEFAULT_SIGMA_FLOOR, SigmaPolicy
 from .dataset import Dataset, SplitSpec, inject_label_noise, kfold, load_csv, split, write_csv
 from .evaluation import (
@@ -171,7 +164,6 @@ class MethodSpec:
     alpha: float = 0.01
     iters: int = 20
     tol: float = 1e-6
-    step_size: float = 1.0
     sigma: float | str = "adaptive"
     sigma_floor: float = DEFAULT_SIGMA_FLOOR
 
@@ -195,9 +187,7 @@ class MethodSpec:
 
     def baseline_config(self) -> BaselineConfig:
         """The hinge/logistic trainer settings of this entry."""
-        return BaselineConfig(
-            alpha=self.alpha, max_iters=self.iters, step_size=self.step_size, tol=self.tol
-        )
+        return BaselineConfig(alpha=self.alpha, max_iters=self.iters, tol=self.tol)
 
     def train_config(self, rep: Representation) -> TrainConfig:
         """The regmaxcem trainer settings of this entry on representation ``rep``."""
@@ -336,14 +326,9 @@ def train_cells(method: MethodSpec, splits: list[list[Dataset]]) -> list[list]:
     (see :func:`_represent_splits`) and differ only in labels, so every cell
     fits under the linear representation.  Returns, per split and per
     training set, the model or the exception its training raised, so that
-    one failing cell does not stop the others.  The hinge cells are stepped
-    together by :func:`train_hinge_batch`; every other method trains cell by
-    cell through :func:`train_method`.
+    one failing cell does not stop the others.
     """
     linear = linear_representation()
-    if method.name == "hinge":
-        return train_hinge_batch([(linear, datasets) for datasets in splits],
-                                 method.baseline_config())
     return [[_train_or_error(method, ds, linear) for ds in datasets] for datasets in splits]
 
 

@@ -244,11 +244,11 @@ class PreparedColumns:
 def prepare_columns(represented: np.ndarray) -> PreparedColumns:
     """Check, shift and (when ``D' >= N``) Gram the columns of ``represented`` once.
 
-    ``train`` and the logistic baseline call this once per fit and hand the
-    result to every round's ``m_step``.  The shifted columns are Fortran
-    ordered for every caller: BLAS rounds differently per layout, and
-    ``dsyrk`` reads them in place.  The Gram is one ``dsyrk``.  Raises
-    ``ValueError`` if ``represented`` is not finite.
+    ``train`` and the hinge and logistic baselines call this once per fit
+    and hand the result to every round's ``m_step``.  The shifted columns
+    are Fortran ordered for every caller: BLAS rounds differently per
+    layout, and ``dsyrk`` reads them in place.  The Gram is one ``dsyrk``.
+    Raises ``ValueError`` if ``represented`` is not finite.
     """
     represented = np.asfortranarray(represented, dtype=np.float64)
     if not np.all(np.isfinite(represented)):
@@ -313,19 +313,21 @@ def m_step(
     ----------
     aux : ndarray of shape (L, N)
         Auxiliary matrix with finite entries <= 0 (in [-1, 0) from ``e_step``;
-        minus half the Newton weights in the logistic baseline).
+        -1 on the active set, else 0, in the hinge baseline; minus half the
+        Newton weights in the logistic baseline).
     represented : ndarray of shape (D', N)
         Represented training samples, one column per sample.
     indicator : ndarray of shape (L, N)
         Finite regression targets: the +-1 indicator targets here and in the
-        square baseline, the working responses in the logistic baseline.
+        square and hinge baselines, the working responses in the logistic
+        baseline.
     alpha : float
         Ridge parameter (finite, >= 0).
     columns : PreparedColumns, optional
         ``prepare_columns(represented)``; built here when omitted, so a lone
         call checks and shifts ``represented`` itself.  ``train`` and the
-        logistic baseline build it once per fit; given, ``represented`` is
-        only checked against its shape.
+        hinge and logistic baselines build it once per fit; given,
+        ``represented`` is only checked against its shape.
 
     Returns
     -------

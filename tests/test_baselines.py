@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from correntia import baselines
 from correntia import (
     BaselineConfig,
     Dataset,
     KernelSpec,
     Model,
-    inject_label_noise,
     kernel_representation,
-    kfold,
     label_indicator,
     linear_representation,
     median_bandwidth,
@@ -20,7 +19,6 @@ from correntia import (
     predict_labels,
     represent_matrix,
     train_hinge,
-    train_hinge_batch,
     train_logistic,
     train_square,
 )
@@ -31,85 +29,20 @@ def tiny_dataset(features, labels, num_classes):
 
 
 def hinge_objective(ds, model, alpha):
+    """Per class: mean squared hinge ``mean(max(0, 1 - y f)^2)`` plus ``alpha ||w_l||^2``."""
     scores = (represent_matrix(ds.features, model.representation) @ model.weights.T + model.biases).T
     indicator = label_indicator(ds.labels, ds.num_classes)
-    loss = float(np.mean(np.maximum(0.0, 1.0 - scores * indicator)))
-    return loss + alpha / ds.num_classes * float(np.sum(model.weights**2))
+    short = np.maximum(0.0, 1.0 - scores * indicator)
+    return np.mean(short**2, axis=1) + alpha * np.sum(model.weights**2, axis=1)
 
 
-def per_class_hinge(ds, rep, cfg):
-    """Reference: the hinge subgradient loop run one class at a time."""
-    represented = represent_matrix(ds.features, rep)
+def hinge_gradient(ds, model, alpha):
+    """Per class: the squared-hinge objective's gradient in ``w`` and ``b``, as ``L x (D' + 1)``."""
+    represented = represent_matrix(ds.features, model.representation)
     indicator = label_indicator(ds.labels, ds.num_classes)
-    n, dim = represented.shape
-    alpha = cfg.alpha
-
-    def value(margins_comp, w):
-        return float(np.sum(np.maximum(margins_comp, 0.0))) / n + alpha * float(w @ w)
-
-    weights = np.empty((ds.num_classes, dim))
-    biases = np.empty(ds.num_classes)
-    for l in range(ds.num_classes):
-        y = indicator[l]
-        w = np.zeros(dim)
-        b = 0.0
-        margins_comp = 1.0 - y * (represented @ w + b)
-        best = value(margins_comp, w)
-        best_w, best_b = w.copy(), b
-        for t in range(1, cfg.max_iters + 1):
-            active = margins_comp > 0.0
-            grad_w = -(y[active] @ represented[active]) / n + 2.0 * alpha * w
-            grad_b = -float(np.sum(y[active])) / n
-            step = cfg.step_size / np.sqrt(t)
-            w = w - step * grad_w
-            b = b - step * grad_b
-            with np.errstate(over="ignore", invalid="ignore"):
-                margins_comp = 1.0 - y * (represented @ w + b)
-                current = value(margins_comp, w)
-            if not np.isfinite(current):
-                raise FloatingPointError(f"class {l + 1}: hinge objective became non-finite")
-            if current < best:
-                best, best_w, best_b = current, w.copy(), b
-        weights[l] = best_w
-        biases[l] = best_b
-    return weights, biases
-
-
-def where_hinge_steps(represented, indicator, cfg):
-    """Reference: the stacked hinge loop with a fresh ``np.where`` array per iteration."""
-    represented = represented[:, None]
-    n, dim = represented.shape[-2:]
-    alpha = cfg.alpha
-
-    weights = np.zeros(indicator.shape[:-1] + (dim,))
-    biases = np.zeros(indicator.shape[:-1])
-    margins_comp = np.ones_like(indicator)
-    best = np.ones(biases.shape)
-    best_weights, best_biases = weights.copy(), biases.copy()
-    failed = np.zeros(indicator.shape[:-2], dtype=np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, cfg.max_iters + 1):
-            active = np.where(margins_comp > 0.0, indicator, 0.0)
-            grad_w = -(active @ represented) / n + 2.0 * alpha * weights
-            grad_b = -active.sum(axis=-1) / n
-            step = cfg.step_size / np.sqrt(t)
-            weights = weights - step * grad_w
-            biases = biases - step * grad_b
-            scores = weights @ represented.swapaxes(-1, -2) + biases[..., None]
-            margins_comp = 1.0 - indicator * scores
-            penalty = alpha * (weights * weights).sum(axis=-1)
-            value = np.maximum(margins_comp, 0.0).sum(axis=-1) / n + penalty
-            finite = np.isfinite(value)
-            if not finite.all():
-                first = (failed == 0) & ~finite.all(axis=-1)
-                failed[first] = np.argmin(finite, axis=-1)[first] + 1
-                if failed.all():
-                    break
-            improved = value < best
-            np.copyto(best, value, where=improved)
-            np.copyto(best_weights, weights, where=improved[..., None])
-            np.copyto(best_biases, biases, where=improved)
-    return best_weights, best_biases, failed
+    scores = (represented @ model.weights.T + model.biases).T
+    slope = -2.0 * np.maximum(0.0, 1.0 - scores * indicator) * indicator / ds.n_samples
+    return np.hstack([slope @ represented + 2.0 * alpha * model.weights, slope.sum(axis=1)[:, None]])
 
 
 def noisy_blobs(num_classes, per_class, dim, seed):
@@ -168,20 +101,115 @@ class TestTrainSquare:
 class TestTrainHinge:
     def test_separable_objective_beats_threshold_and_grid(self):
         ds = tiny_dataset([[2.0], [-2.0]], [1, 2], 2)
-        cfg = BaselineConfig(alpha=0.01, max_iters=400, step_size=1.0)
-        model = train_hinge(ds, linear_representation(), cfg)
+        model = train_hinge(ds, linear_representation(), BaselineConfig(alpha=0.01))
         value = hinge_objective(ds, model, 0.01)
-        assert value < 0.05
-        # brute-force check: no grid point does much better
+        # class 1 targets (+1, -1) on x = (2, -2): the optimum is b = 0 and
+        # w = 2 / (4 + 0.01), a ridge fit of both points
+        assert model.weights[0, 0] == pytest.approx(2.0 / 4.01, abs=1e-12)
+        assert model.biases[0] == pytest.approx(0.0, abs=1e-12)
+        # brute-force check: no grid point does better; class 2 mirrors class 1
         best = math.inf
         for w1 in np.linspace(-2, 2, 81):
             for b1 in np.linspace(-1, 1, 41):
-                scores = np.array([[w1 * 2 + b1, -w1 * 2 + b1], [-(w1 * 2 + b1), -(-w1 * 2 + b1)]])
-                # symmetric 2-class grid: class 2 mirrors class 1
-                indicator = label_indicator([1, 2], 2)
-                loss = float(np.mean(np.maximum(0.0, 1.0 - scores * indicator)))
-                best = min(best, loss + 0.01 / 2 * (2 * w1**2))
-        assert value <= best + 0.01
+                short = np.maximum(0.0, 1.0 - np.array([w1 * 2 + b1, w1 * 2 - b1]))
+                best = min(best, float(np.mean(short**2)) + 0.01 * w1**2)
+        assert np.all(value <= best + 1e-12)
+
+    @pytest.mark.parametrize("kernel", [False, True], ids=["linear", "rbf"])
+    def test_gradient_vanishes_at_solution(self, kernel):
+        ds = noisy_blobs(3, 30, 2, seed=9)
+        spec = KernelSpec("rbf", median_bandwidth(ds.features))
+        rep = kernel_representation(ds.features, spec) if kernel else linear_representation()
+        model = train_hinge(ds, rep, BaselineConfig(alpha=0.05, max_iters=20))
+        gradient = hinge_gradient(ds, model, 0.05)
+        assert np.max(np.abs(gradient)) <= 1e-12
+
+    @pytest.mark.parametrize("kernel", [False, True], ids=["linear", "rbf"])
+    def test_stops_on_its_active_set(self, kernel, monkeypatch):
+        # a full step that leaves a class's active set unchanged is its exact
+        # minimizer, so a larger cap takes no further step, and the last step
+        # taken is the one that reached it
+        steps = []
+
+        def counting(*args, **kwargs):
+            steps.append(args)
+            return m_step(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "m_step", counting)
+        for num_classes, seed in ((2, 1), (3, 2), (4, 3)):
+            ds = noisy_blobs(num_classes, 25, 3, seed=seed)
+            spec = KernelSpec("rbf", 1.0)
+            rep = kernel_representation(ds.features, spec) if kernel else linear_representation()
+            capped = train_hinge(ds, rep, BaselineConfig(alpha=0.01, max_iters=20))
+            steps.clear()
+            loose = train_hinge(ds, rep, BaselineConfig(alpha=0.01, max_iters=500))
+            assert np.array_equal(capped.weights, loose.weights)
+            assert np.array_equal(capped.biases, loose.biases)
+            assert 1 < len(steps) < 20
+            short = train_hinge(ds, rep, BaselineConfig(alpha=0.01, max_iters=len(steps) - 1))
+            assert not np.array_equal(short.weights, loose.weights)
+
+    def test_damped_steps_lower_the_loss_and_still_converge(self, monkeypatch):
+        # at this small alpha the full Newton steps of rounds 5 to 7 raise both
+        # classes' loss, so they are halved, and a halved step that leaves the
+        # active set unchanged is no minimizer: the fit goes on to reach it
+        features = [[-8.301, 2.078], [36.415, -54.913], [15.992, 17.425], [19.541, -18.42],
+                    [-8.135, -2.042], [-32.021, -12.812], [10.833, 15.461]]
+        ds = tiny_dataset(features, [1, 2, 1, 2, 2, 1, 1], 2)
+        halved = []
+        descend = baselines._descend
+
+        def recording(*args):
+            fell, rose = descend(*args)
+            halved.append(rose.any())
+            return fell, rose
+
+        monkeypatch.setattr(baselines, "_descend", recording)
+        model = train_hinge(ds, linear_representation(), BaselineConfig(alpha=1e-4))
+        assert any(halved)
+        assert np.max(np.abs(hinge_gradient(ds, model, 1e-4))) <= 1e-12
+        losses = [
+            hinge_objective(ds, train_hinge(ds, linear_representation(), BaselineConfig(1e-4, k)), 1e-4)
+            for k in range(1, len(halved) + 1)
+        ]
+        for prev, cur in zip(losses, losses[1:]):
+            assert np.all(cur <= prev)
+
+    def test_absent_class_is_constant_minus_one(self):
+        # class 3 has no sample: its optimum is w = 0, b = -1, where every
+        # margin is 1 and its active set is empty, and no DegenerateClassError
+        # is raised on the way there
+        rng = np.random.default_rng(3)
+        labels = rng.integers(1, 3, 25)
+        labels[:2] = [1, 2]
+        ds = tiny_dataset(rng.standard_normal((25, 3)) + 5.0, labels, 3)
+        kernel = kernel_representation(ds.features, KernelSpec("rbf", 1.0))
+        for rep in (linear_representation(), kernel):
+            model = train_hinge(ds, rep, BaselineConfig(alpha=0.05))
+            np.testing.assert_allclose(model.weights[2], 0.0, rtol=0, atol=1e-12)
+            assert model.biases[2] == pytest.approx(-1.0, abs=1e-12)
+            assert np.max(np.abs(hinge_gradient(ds, model, 0.05)[:2])) <= 1e-12
+
+    def test_failed_ridge_solve_names_the_class(self, monkeypatch):
+        # collinear columns and a tiny alpha: the third step's ridge system is
+        # not positive definite, in a call made after two classes stopped, so
+        # m_step's row number is not the class index
+        ds = noisy_blobs(4, 10, 1, seed=6)
+        x = ds.features[:, 0]
+        ds = tiny_dataset(np.column_stack([x, 2 * x, x]), ds.labels, 4)
+        rows = []
+
+        def counting(aux, *args, **kwargs):
+            rows.append(len(aux))
+            return m_step(aux, *args, **kwargs)
+
+        monkeypatch.setattr(baselines, "m_step", counting)
+        with pytest.raises(
+            FloatingPointError,
+            match=r"^class 3: the weighted ridge system is not positive definite; alpha=1e-15 ",
+        ):
+            train_hinge(ds, linear_representation(), BaselineConfig(alpha=1e-15))
+        assert rows == [4, 3, 2]
 
     def test_huge_alpha_shrinks_weights(self):
         rng = np.random.default_rng(2)
@@ -189,170 +217,22 @@ class TestTrainHinge:
         labels = rng.integers(1, 3, 30)
         labels[:2] = [1, 2]
         ds = tiny_dataset(features, labels, 2)
-        # step size scaled to the enormous penalty curvature; the best-seen
-        # rule then guarantees any iterate with a visible weight norm loses
-        cfg = BaselineConfig(alpha=1e6, max_iters=200, step_size=1e-6)
-        model = train_hinge(ds, linear_representation(), cfg)
-        assert np.linalg.norm(model.weights) < 1e-2
-
-    def test_oversized_step_raises_non_finite_error(self):
-        ds = tiny_dataset([[1.0], [-1.0]], [1, 2], 2)
-        cfg = BaselineConfig(alpha=1e6, max_iters=500, step_size=10.0)
-        with pytest.raises(FloatingPointError, match="non-finite"):
-            train_hinge(ds, linear_representation(), cfg)
+        model = train_hinge(ds, linear_representation(), BaselineConfig(alpha=1e6))
+        assert np.linalg.norm(model.weights) < 1e-6
+        # the bias alone then minimizes each class's squared hinge
+        assert np.max(np.abs(hinge_gradient(ds, model, 1e6)[:, -1])) <= 1e-12
 
     def test_never_worse_than_zero_model(self):
+        # the zero model's squared hinge is 1 per class, and no step raises a loss
         rng = np.random.default_rng(3)
         features = rng.standard_normal((25, 3))
         labels = rng.integers(1, 4, 25)
         labels[:3] = [1, 2, 3]
         ds = tiny_dataset(features, labels, 3)
-        for step in (0.01, 1.0, 50.0):
-            cfg = BaselineConfig(alpha=0.05, max_iters=40, step_size=step)
-            model = train_hinge(ds, linear_representation(), cfg)
-            zero = hinge_objective(
-                ds,
-                train_hinge(ds, linear_representation(), BaselineConfig(alpha=0.05, max_iters=1, step_size=1e-30)),
-                0.05,
-            )
-            assert hinge_objective(ds, model, 0.05) <= zero + 1e-12
-
-
-class TestHingeMatchesPerClassLoop:
-    """The class-stepped trainer against the one-class-at-a-time reference."""
-
-    def assert_matches_reference(self, ds, rep, cfg):
-        weights, biases = per_class_hinge(ds, rep, cfg)
-        model = train_hinge(ds, rep, cfg)
-        np.testing.assert_allclose(model.weights, weights, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(model.biases, biases, rtol=0, atol=1e-12)
-        reference = model.__class__(weights, biases, rep, 1.0, model.class_map)
-        np.testing.assert_array_equal(
-            predict_labels(model, ds.features), predict_labels(reference, ds.features)
-        )
-        return weights, biases
-
-    @pytest.mark.parametrize("num_classes", [2, 3, 4])
-    def test_linear(self, num_classes):
-        ds = noisy_blobs(num_classes, 30, 5, seed=num_classes)
-        self.assert_matches_reference(ds, linear_representation(), BaselineConfig(max_iters=300))
-
-    def test_rbf_kernel(self):
-        ds = noisy_blobs(3, 25, 2, seed=9)
-        spec = KernelSpec("rbf", median_bandwidth(ds.features))
-        rep = kernel_representation(ds.features, spec)
-        self.assert_matches_reference(ds, rep, BaselineConfig(alpha=0.05, max_iters=200))
-
-    def test_best_iterate_is_chosen_per_class(self):
-        # oversized steps: some classes never beat their zero start, others do
-        rng = np.random.default_rng(0)
-        labels = rng.integers(1, 4, 12)
-        labels[:3] = [1, 2, 3]
-        ds = tiny_dataset(rng.standard_normal((12, 2)), labels, 3)
-        cfg = BaselineConfig(alpha=0.05, max_iters=10, step_size=20.0)
-        weights, biases = self.assert_matches_reference(ds, linear_representation(), cfg)
-        at_zero = [not weights[l].any() and biases[l] == 0.0 for l in range(3)]
-        assert any(at_zero) and not all(at_zero)
-
-    def test_a_tie_keeps_the_earlier_iterate(self):
-        # one step of 6 moves each bias by 3 and leaves every mean hinge at
-        # exactly 1, the zero start's value: strict "<" keeps the zero start
-        ds = tiny_dataset(np.zeros((4, 1)), [1, 2, 2, 2], 2)
-        cfg = BaselineConfig(alpha=0.0, max_iters=1, step_size=6.0)
-        weights, biases = self.assert_matches_reference(ds, linear_representation(), cfg)
-        assert not weights.any() and not biases.any()
-
-    def test_non_finite_error_names_the_diverging_class(self):
-        # class 1's subgradient is zero at the start, so it never leaves it;
-        # class 2 moves, and the penalty step overshoots it to infinity
-        ds = tiny_dataset([[1.0], [-1.0], [2.0], [-2.0]], [1, 1, 2, 3], 3)
-        cfg = BaselineConfig(alpha=1e6, max_iters=500, step_size=10.0)
-        with pytest.raises(FloatingPointError, match="class 2: "):
-            per_class_hinge(ds, linear_representation(), cfg)
-        with pytest.raises(FloatingPointError, match=r"class 2: hinge objective became non-finite"):
-            train_hinge(ds, linear_representation(), cfg)
-
-
-class TestHingeBatch:
-    """Cells stepped together against their lone :func:`train_hinge` fits, bit for bit."""
-
-    @pytest.mark.parametrize("mode", ["linear", "rbf"])
-    def test_batch_is_bit_identical_to_lone_fits(self, mode):
-        # 63 rows in 4 folds: training sets of 47 and 48 rows, two stacked groups
-        ds = noisy_blobs(3, 21, 2, seed=11)
-        splits = []
-        for s, (train, _) in enumerate(kfold(ds, 4, seed=3)):
-            if mode == "linear":
-                rep = linear_representation()
-            else:
-                spec = KernelSpec("rbf", median_bandwidth(train.features))
-                rep = kernel_representation(train.features, spec)
-            noisy = [inject_label_noise(train, rate, seed=10 * s + r)
-                     for r, rate in enumerate((0.0, 0.2, 0.4))]
-            splits.append((rep, noisy))
-        assert sorted({datasets[0].n_samples for _, datasets in splits}) == [47, 48]
-        cfg = BaselineConfig(alpha=0.05, max_iters=150)
-        batched = train_hinge_batch(splits, cfg)
-        assert [len(models) for models in batched] == [3] * 4
-        for (rep, datasets), models in zip(splits, batched):
-            for cell, model in zip(datasets, models):
-                lone = train_hinge(cell, rep, cfg)
-                assert np.array_equal(model.weights, lone.weights)
-                assert np.array_equal(model.biases, lone.biases)
-                assert model.class_map == lone.class_map and model.representation is rep
-                weights, biases = per_class_hinge(cell, rep, cfg)
-                np.testing.assert_allclose(model.weights, weights, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(model.biases, biases, rtol=0, atol=1e-12)
-
-    def test_a_diverging_cell_leaves_the_others_alone(self):
-        # the dataset of test_non_finite_error_names_the_diverging_class, batched
-        # with label sets (and one more split) whose subgradients stay zero
-        features = [[1.0], [-1.0], [2.0], [-2.0]]
-        diverging = tiny_dataset(features, [1, 1, 2, 3], 3)
-        healthy = [tiny_dataset(features, [1, 1, 2, 2], 3), tiny_dataset(features, [2, 2, 1, 1], 3)]
-        other = tiny_dataset([[0.0], [0.0], [0.0], [3.0], [-3.0]], [1, 2, 3, 1, 1], 3)
-        rep = linear_representation()
-        cfg = BaselineConfig(alpha=1e6, max_iters=500, step_size=10.0)
-        (first, *rest), (last,) = train_hinge_batch(
-            [(rep, [diverging, *healthy]), (rep, [other])], cfg
-        )
-        assert isinstance(first, FloatingPointError)
-        assert str(first) == "class 2: hinge objective became non-finite (step size too large?)"
-        for cell, model in zip([*healthy, other], [*rest, last]):
-            lone = train_hinge(cell, rep, cfg)
-            assert np.array_equal(model.weights, lone.weights)
-            assert np.array_equal(model.biases, lone.biases)
-
-    def test_batch_matches_the_where_loop_bit_for_bit(self):
-        # two stacked splits of two label sets each; the second split's features
-        # are small integers times 2**512, so sums of them are exact
-        rng = np.random.default_rng(0)
-        plain = rng.standard_normal((12, 2))
-        half = rng.integers(-3, 4, (6, 2)).astype(float)
-        huge = np.vstack([half, -half]) * 2.0**512
-        mirrored = np.tile(rng.integers(1, 4, 6), 2)  # the w subgradient cancels exactly
-        labels = [rng.integers(1, 4, 12), rng.integers(1, 4, 12), mirrored, rng.integers(1, 4, 12)]
-        cells = [tiny_dataset(x, l, 3) for x, l in zip([plain, plain, huge, huge], labels)]
-        splits = [(linear_representation(), cells[:2]), (linear_representation(), cells[2:])]
-        cfg = BaselineConfig(alpha=0.05, max_iters=40, step_size=30.0)
-        indicator = np.stack([label_indicator(l, 3) for l in labels]).reshape(2, 2, 3, 12)
-        want_w, want_b, want_failed = where_hinge_steps(np.stack([plain, huge]), indicator, cfg)
-        assert want_failed.tolist() == [[0, 0], [0, 1]]  # one cell turns non-finite
-        at_zero = ~want_w.any(axis=-1) & (want_b == 0)
-        assert at_zero[0, 0].tolist() == [False, False, True]  # one class keeps the zero start
-
-        results = [r for models in train_hinge_batch(splits, cfg) for r in models]
-        assert str(results[3]) == "class 1: hinge objective became non-finite (step size too large?)"
-        for (s, c), model in zip([(0, 0), (0, 1), (1, 0)], results[:3]):
-            for got, want in ((model.weights, want_w[s, c]), (model.biases, want_b[s, c])):
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    def test_datasets_of_one_split_must_share_features(self):
-        a = tiny_dataset([[1.0], [-1.0]], [1, 2], 2)
-        b = tiny_dataset([[1.0], [-2.0]], [1, 2], 2)
-        with pytest.raises(ValueError, match="split 0: the datasets of one split must share"):
-            train_hinge_batch([(linear_representation(), [a, b])], BaselineConfig())
+        for alpha in (0.0, 0.05, 1e6):
+            for iters in (1, 2, 40):
+                model = train_hinge(ds, linear_representation(), BaselineConfig(alpha, iters))
+                assert np.all(hinge_objective(ds, model, alpha) <= 1.0)
 
 
 class TestTrainLogistic:
@@ -442,12 +322,6 @@ class TestTrainLogistic:
 
 
 class TestBaselineConfig:
-    def test_nonpositive_step_size(self):
-        with pytest.raises(ValueError, match="step_size"):
-            BaselineConfig(step_size=0.0)
-        with pytest.raises(ValueError, match="step_size"):
-            BaselineConfig(step_size=math.nan)
-
     def test_infinite_alpha_rejected(self):
         with pytest.raises(ValueError, match=r"^alpha must be finite, got inf$"):
             BaselineConfig(alpha=math.inf)

@@ -244,6 +244,16 @@ class TestErrors:
         assert capsys.readouterr().err == "error: alpha must be >= 0, got -1.0\n"
         assert not (tmp_path / "m.json").exists()
 
+    def test_removed_step_size_flag_is_one_line_error(self, tmp_path, blob_csv, capsys):
+        # hinge takes Newton steps and no step size since 0.9.0
+        code = run_cli(["train", "--data", blob_csv, "--label-col", "label", "--method", "hinge",
+                        "--model-out", tmp_path / "m.json", "--step-size", "0.5"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: correntia: unrecognized arguments: --step-size 0.5\n"
+        )
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("method", ["regmaxcem", "square", "hinge", "logistic"])
     def test_infinite_alpha_is_one_line_error(self, tmp_path, blob_csv, method, capsys):
         # an infinite ridge zeroes the linear-system methods and breaks the iterative ones
@@ -459,13 +469,12 @@ class TestExperiment:
         [
             ("alpha", -1, "alpha must be >= 0, got -1"),
             ("iters", 0, "max_iters must be >= 1, got 0"),
-            ("step_size", 0, "step_size must be > 0, got 0"),
+            ("step_size", 0.5, "methods[0]: unknown key(s) step_size"),
             ("tol", -1, "tol must be >= 0, got -1"),
             ("sigma", 0, "fixed sigma must be > 0, got 0.0"),
             ("sigma", "x", "sigma must be a number or 'adaptive', got 'x'"),
             ("alpha", float("nan"), "alpha must be >= 0, got nan"),
             ("tol", float("nan"), "tol must be >= 0, got nan"),
-            ("step_size", float("nan"), "step_size must be > 0, got nan"),
             ("sigma", float("nan"), "fixed sigma must be > 0, got nan"),
             ("sigma_floor", float("nan"), "sigma floor must be > 0, got nan"),
             ("sigma_floor", 1e-300,
