@@ -20,13 +20,13 @@ from .harness import (
     MethodSpec,
     RepresentationSpec,
     SyntheticSpec,
+    _write_curves,
     emit_reports,
     generate_synthetic,
     load_config,
     run_experiment,
     select_alpha_by_cv,
     train_method,
-    write_curve,
 )
 from .regmaxcem import TraceRecord, load_model, save_model, score_matrix, train
 
@@ -216,8 +216,7 @@ def _cmd_eval(args) -> int:
         if args.out_dir:
             out = Path(args.out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            write_curve(out / "roc.csv", roc)
-            write_curve(out / "pr.csv", pr)
+            _write_curves([(out / "roc.csv", roc), (out / "pr.csv", pr)])
             print(f"curves written to {out}")
     except ValueError as exc:
         print(f"curves skipped: {exc}")

@@ -177,10 +177,14 @@ def write_csv(path, header, columns) -> None:
     ``-0.0``, ``nan`` and ``inf`` keep their own text), and the file is
     written with one join.
     """
-    columns = [_cell_texts(column) for column in columns]
+    _write_cells(path, _cell_texts(header), [_cell_texts(column) for column in columns])
+
+
+def _write_cells(path, header, columns) -> None:
+    """Write a header and columns of cell texts, each from :func:`_cell_texts`,
+    as :func:`write_csv` writes the values they came from."""
     if len({len(column) for column in columns}) > 1:
         raise ValueError(f"columns differ in length: {[len(column) for column in columns]}")
-    header = _cell_texts(header)
     lines = [",".join(header), *map(",".join, zip(*columns))]
     # csv.writer quotes a row that is one empty field
     if len(header) == 1 and lines[0] == "":
@@ -191,12 +195,24 @@ def write_csv(path, header, columns) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _cell_texts(values):
-    """Each value as ``csv.writer`` writes it in a row of several fields."""
+def _cell_texts(values, memo=None):
+    """Each value as ``csv.writer`` writes it in a row of several fields.
+
+    A float64 array is formatted once per distinct bit pattern.  ``memo``,
+    a dict from a float64 bit pattern (as an int) to its text, carries
+    those texts from one call to the next.
+    """
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
         distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-        return texts[inverse]  # a repr never needs quoting
+        floats = distinct.view(np.float64).tolist()
+        if memo is None:
+            texts = list(map(repr, floats))
+        else:
+            texts = [
+                memo[key] if key in memo else memo.setdefault(key, repr(value))
+                for key, value in zip(distinct.tolist(), floats)
+            ]
+        return np.array(texts, dtype=object)[inverse]  # a repr never needs quoting
     if isinstance(values, np.ndarray):
         values = values.tolist()
     texts = list(map(_text, values))

@@ -28,7 +28,16 @@ import numpy as np
 
 from .baselines import BaselineConfig, train_hinge, train_logistic, train_square
 from .correntropy import DEFAULT_SIGMA_FLOOR, SigmaPolicy
-from .dataset import Dataset, SplitSpec, inject_label_noise, kfold, load_csv, split, write_csv
+from .dataset import (
+    Dataset,
+    SplitSpec,
+    _cell_texts,
+    _write_cells,
+    inject_label_noise,
+    kfold,
+    load_csv,
+    split,
+)
 from .evaluation import (
     Curve,
     DegenerateDifferencesError,
@@ -486,16 +495,48 @@ def _attach_ttests(rate_reports: list[EvalReport]) -> list[EvalReport]:
 
 
 def write_curve(path, curve: Curve) -> None:
-    """Write a ROC/PR curve as a ``threshold,x,y`` CSV, one row per threshold."""
-    write_csv(path, ["threshold", "x", "y"], [curve.threshold, curve.x, curve.y])
+    """Write a ROC/PR curve as a ``threshold,x,y`` CSV, one row per threshold.
+
+    The bytes are those :func:`~correntia.dataset.write_csv` writes for the
+    columns ``threshold``, ``x`` and ``y``.  :func:`emit_reports` and
+    ``correntia eval`` write their curves through the same code, a batch
+    at a time.
+    """
+    _write_curves([(path, curve)])
+
+
+def _write_curves(files) -> None:
+    """Write each ``(path, curve)`` of ``files``, in order, as :func:`write_curve` does.
+
+    A threshold column whose bits equal the previous file's (a ROC curve
+    followed by the PR curve of the same scores) reuses that file's texts,
+    and the x and y columns go through one memo keyed on the float64 bit
+    pattern, which lasts for this call only: count ratios with shared
+    denominators repeat across the curves of one sweep.  So each distinct
+    x/y value is formatted once per call, and each threshold column once
+    per run of equal columns.
+    """
+    header = ["threshold", "x", "y"]  # plain words: their own cell texts
+    memo = {}
+    previous = thresholds = None
+    for path, curve in files:
+        if previous is None or not np.array_equal(
+            curve.threshold.view(np.int64), previous.view(np.int64)
+        ):
+            previous, thresholds = curve.threshold, _cell_texts(curve.threshold)
+        columns = [thresholds, _cell_texts(curve.x, memo), _cell_texts(curve.y, memo)]
+        _write_cells(path, header, columns)
 
 
 def emit_reports(reports: list[EvalReport], out_dir) -> list[str]:
     """Write one JSON summary plus per-report ROC/PR CSVs into ``out_dir``.
 
     File names are deterministic functions of method and noise rate, and
-    identical inputs always produce byte-identical files.  Returns the
-    written paths (summary first).
+    identical inputs always produce byte-identical files.  Each curve file
+    holds the bytes :func:`write_curve` writes; the curves of one call are
+    written as one batch, which formats each distinct x/y value of the call
+    once and a report's thresholds once for both its ROC and PR files.
+    Returns the written paths (summary first).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -510,16 +551,18 @@ def emit_reports(reports: list[EvalReport], out_dir) -> list[str]:
             for r in reports
         ]
     }
-    paths = [out / "summary.json"]
-    with open(paths[0], "w", encoding="utf-8", newline="\n") as handle:
+    summary_path = out / "summary.json"
+    with open(summary_path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    for report in reports:
-        for which, curve in (("roc", report.roc), ("pr", report.pr)):
-            if curve is not None:
-                paths.append(out / f"{report.method}_noise{report.noise_rate:g}_{which}.csv")
-                write_curve(paths[-1], curve)
-    return [str(p) for p in paths]
+    curves = [
+        (out / f"{report.method}_noise{report.noise_rate:g}_{which}.csv", curve)
+        for report in reports
+        for which, curve in (("roc", report.roc), ("pr", report.pr))
+        if curve is not None
+    ]
+    _write_curves(curves)
+    return [str(p) for p in (summary_path, *(path for path, _ in curves))]
 
 
 def _from_json(cls, raw, where: str):

@@ -392,6 +392,9 @@ def m_step(
     # Row-wise dot products as a batched matmul round like a per-row dot;
     # the near-tied biases of a collapsed model depend on those last bits.
     y_means = (indicator[:, None, :] @ u_sq[:, :, None]).ravel() / totals
+    # That mean is a few ulps off a constant row's value, which would fit a
+    # class absent from the labels (all -1) with weights of about 1e-32.
+    np.copyto(y_means, indicator[:, 0], where=(indicator == indicator[:, :1]).all(axis=1))
 
     sample_space = gram is not None
     if sample_space:

@@ -186,8 +186,8 @@ class TestTrainHinge:
         kernel = kernel_representation(ds.features, KernelSpec("rbf", 1.0))
         for rep in (linear_representation(), kernel):
             model = train_hinge(ds, rep, BaselineConfig(alpha=0.05))
-            np.testing.assert_allclose(model.weights[2], 0.0, rtol=0, atol=1e-12)
-            assert model.biases[2] == pytest.approx(-1.0, abs=1e-12)
+            assert np.all(model.weights[2] == 0.0)
+            assert model.biases[2] == -1.0
             assert np.max(np.abs(hinge_gradient(ds, model, 0.05)[:2])) <= 1e-12
 
     def test_failed_ridge_solve_names_the_class(self, monkeypatch):

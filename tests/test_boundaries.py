@@ -1,5 +1,5 @@
 """Property tests at boundaries: a malformed input works or fails with one error line, and
-the CSV writer writes what the csv module would."""
+the CSV writers write what the csv module would."""
 
 import contextlib
 import csv
@@ -13,8 +13,17 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from correntia import KernelSpec, Model, kernel_representation, load_model, save_model, write_csv
+from correntia import (
+    Curve,
+    KernelSpec,
+    Model,
+    kernel_representation,
+    load_model,
+    save_model,
+    write_csv,
+)
 from correntia.cli import main
+from correntia.harness import _write_curves
 
 
 def _valid_model_text() -> str:
@@ -123,11 +132,52 @@ def csv_tables(draw):
                             np.array([-math.inf, math.nan, math.nan])]))
 def test_write_csv_bytes_match_csv_writer(table):
     header, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(path, header, columns)
+        assert path.read_bytes() == _csv_writer_bytes(header, columns)
+
+
+def _csv_writer_bytes(header, columns) -> bytes:
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    return expected.getvalue().encode("utf-8")
+
+
+# The batch curve writer against csv.writer, file by file.  The curves of one
+# call share awkward floats, so a memo or a threshold reuse that compared
+# floats by value (-0.0 == 0.0) instead of by bits would write a wrong file.
+@st.composite
+def curve_batches(draw):
+    def column(rows):
+        return st.lists(AWKWARD_FLOATS, min_size=rows, max_size=rows).map(np.array)
+
+    curves = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.integers(0, 5))
+        threshold = draw(column(rows))
+        curves.append(Curve(threshold, draw(column(rows)), draw(column(rows))))
+        if draw(st.booleans()):  # a PR curve beside its ROC curve, as a sweep writes them
+            if not draw(st.booleans()):
+                rows = draw(st.integers(0, 5))
+                threshold = draw(column(rows))
+            curves.append(Curve(threshold, draw(column(rows)), draw(column(rows))))
+    return curves
+
+
+@settings(max_examples=150, deadline=None)
+@given(curve_batches())
+@example([Curve([math.inf, 0.0], [0.0, 0.5], [0.0, 1.0]),
+          Curve([math.inf, -0.0], [-0.0, 0.5], [1.0, -0.0])])
+@example([Curve([math.inf, 0.5, -0.0], [-0.0, math.nan, 5e-324], [math.inf, 0.0, 0.0]),
+          Curve([math.inf, 0.5, -0.0], [0.0, -math.inf, 5e-324], [-0.0, math.nan, 1.0]),
+          Curve([0.0, math.nan], [5e-324, -0.0], [0.0, math.inf])])
+def test_write_curves_bytes_match_csv_writer(curves):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "table.csv"
-        write_csv(path, header, columns)
-        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        paths = [Path(tmp) / f"{i}.csv" for i in range(len(curves))]
+        _write_curves(list(zip(paths, curves)))
+        for path, curve in zip(paths, curves):
+            columns = [curve.threshold, curve.x, curve.y]
+            assert path.read_bytes() == _csv_writer_bytes(["threshold", "x", "y"], columns)

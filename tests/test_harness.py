@@ -1,5 +1,7 @@
 """Synthetic generation, the experiment sweep, and report emission."""
 
+import csv
+import io
 import json
 import math
 import sys
@@ -339,6 +341,41 @@ class TestEmitReports:
         lines = (tmp_path / "square_noise0_roc.csv").read_text().splitlines()
         assert lines[0] == "threshold,x,y"
         assert len(lines) == reports[0].roc.x.size + 1
+
+    def test_files_match_csv_writer_and_json_dump(self, tmp_path):
+        reports = run_experiment(blob_config())
+        paths = emit_reports(reports, tmp_path)
+        summary = io.StringIO()
+        json.dump(
+            {
+                "reports": [
+                    {
+                        "method": r.method,
+                        "noise_rate": r.noise_rate,
+                        "accuracy": r.accuracy,
+                        "per_split_accuracies": list(r.per_split_accuracies),
+                        "auc": r.auc,
+                        "ttests": [vars(t) for t in r.ttests],
+                        "errors": list(r.errors),
+                    }
+                    for r in reports
+                ]
+            },
+            summary,
+            indent=2,
+            sort_keys=True,
+        )
+        expected = {"summary.json": summary.getvalue() + "\n"}
+        for r in reports:
+            for which, curve in (("roc", r.roc), ("pr", r.pr)):
+                text = io.StringIO()
+                writer = csv.writer(text, lineterminator="\n")
+                writer.writerow(["threshold", "x", "y"])
+                writer.writerows(zip(curve.threshold.tolist(), curve.x.tolist(), curve.y.tolist()))
+                expected[f"{r.method}_noise{r.noise_rate:g}_{which}.csv"] = text.getvalue()
+        assert [Path(path).name for path in paths] == list(expected)
+        for name, text in expected.items():
+            assert (tmp_path / name).read_bytes() == text.encode("utf-8")
 
     def test_write_curve_golden_bytes(self, tmp_path):
         # thresholds inf, 0.9, 0.6, 0.4; cumulative tp 0, 1, 1, 2 of 2 and fp 0, 0, 1, 1 of 1

@@ -280,6 +280,27 @@ class TestMStep:
         np.testing.assert_allclose(w_full, w_del, atol=1e-6)
         assert b_full[0] == pytest.approx(b_del[0], abs=1e-6)
 
+    @pytest.mark.parametrize("dim", [3, 400], ids=["tall", "wide"])
+    def test_constant_targets_give_exactly_that_bias_and_zero_weights(self, dim):
+        # the weighted mean of a constant row is that constant, so its class
+        # fits w = 0 and b = the constant exactly, in both forms; the other
+        # rows get the bits they get beside rows that are not constant
+        rng = np.random.default_rng(21)
+        for n in (25, 40, 300):
+            represented = rng.standard_normal((dim, n)) + 5.0
+            aux, indicator = random_aux_and_indicator(rng, 2, n)
+            indicator = np.vstack([indicator, np.full((3, n), [[-1.0], [0.1], [3.0]])])
+            aux = np.vstack([aux, -rng.uniform(0.05, 1.0, (3, n))])
+            weights, biases = m_step(aux, represented, indicator, 0.05)
+            assert np.all(weights[2:] == 0.0)
+            assert biases[2:].tolist() == [-1.0, 0.1, 3.0]
+            varied = indicator.copy()
+            varied[2:, 0] += 1.0
+            beside = m_step(aux, represented, varied, 0.05)
+            assert np.all(beside[0][2:] != 0.0)
+            np.testing.assert_array_equal(weights[:2], beside[0][:2])
+            np.testing.assert_array_equal(biases[:2], beside[1][:2])
+
     @pytest.mark.parametrize("dim", [2, 6], ids=["tall", "wide"])
     def test_degenerate_class_error_names_class(self, dim):
         aux = -np.ones((3, 4))
