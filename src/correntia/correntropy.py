@@ -53,13 +53,15 @@ class SigmaPolicy:
 
 
 def _check_width(name: str, value) -> None:
-    """Reject a kernel width that is not > 0 (NaN and None included) or whose ``2 value**2`` is 0.
+    """Reject a kernel width that is not > 0 (NaN and None included), is inf or has ``2 value**2 == 0``.
 
     ``value**2`` underflows before ``2.0 * value * value`` does, so a width that
     passes leaves both forms of the Gaussian's divisor nonzero.
     """
     if value is None or not value > 0:
         raise ValueError(f"{name} must be > 0, got {value}")
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     if not 2.0 * value**2 > 0:
         raise ValueError(f"{name} {value} is too small: 2 * {value}**2 underflows to 0")
 

@@ -11,12 +11,12 @@ once (in kernel mode, kernel evaluations against the training anchors); a
 split that cannot be represented raises.  Every cell is then a plain
 linear problem on those represented features.  The noisy training sets of
 every rate are drawn from the represented training side before any
-training, since noise depends only on the labels.  Each method then
-trains on its cells one after another (:func:`train_cells`), each through
-:func:`train_method`.  Failures inside one cell (training or scoring) are
-caught and recorded on that method's report instead of aborting the sweep.
-Cells are mutually independent, and report order always follows the
-config regardless of how cells are scheduled.
+training, since noise depends only on the labels.  Cells run one at a
+time, method by method in config order.  :func:`_score_cell` is the one
+place a cell is trained (through :func:`train_method`) and scored, and
+:func:`_report` turns one method's cells at one rate into its report,
+recording a failing cell on that report instead of aborting the sweep.
+Reports come out rate by rate, in config order.
 """
 
 import json
@@ -57,7 +57,7 @@ from .kernels import (
     median_bandwidth,
     represent_matrix,
 )
-from .regmaxcem import TrainConfig, predict_labels, score_matrix, train
+from .regmaxcem import TrainConfig, score_matrix, train
 from .seeding import child_seed, make_rng
 
 __all__ = [
@@ -121,6 +121,8 @@ class SyntheticSpec:
             raise ValueError("class means must be pairwise distinct")
         if not self.std > 0:
             raise ValueError(f"std must be > 0, got {self.std}")
+        if not np.isfinite(self.std):
+            raise ValueError(f"std must be finite, got {self.std}")
         if self.samples_per_class < 1:
             raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
         object.__setattr__(self, "means", means)
@@ -328,27 +330,6 @@ def train_method(method: MethodSpec, ds: Dataset, rep: Representation):
     return trainer(ds, rep, method.baseline_config())
 
 
-def train_cells(method: MethodSpec, splits: list[list[Dataset]]) -> list[list]:
-    """Train one method on every cell: ``splits`` holds each split's training sets.
-
-    The training sets of one split share their already represented features
-    (see :func:`_represent_splits`) and differ only in labels, so every cell
-    fits under the linear representation.  Returns, per split and per
-    training set, the model or the exception its training raised, so that
-    one failing cell does not stop the others.
-    """
-    linear = linear_representation()
-    return [[_train_or_error(method, ds, linear) for ds in datasets] for datasets in splits]
-
-
-def _train_or_error(method: MethodSpec, ds: Dataset, rep: Representation):
-    """:func:`train_method`, or the exception it raised."""
-    try:
-        return train_method(method, ds, rep)
-    except Exception as exc:  # cell isolation: the caller reports it
-        return exc
-
-
 def _represent_splits(
     pairs: list[tuple[Dataset, Dataset]], representation: RepresentationSpec
 ) -> list[tuple[Dataset, Dataset]]:
@@ -365,11 +346,54 @@ def _represent_splits(
     return represented
 
 
-def _model(result):
-    """The model of one :func:`train_cells` result; a training failure is raised again."""
-    if isinstance(result, Exception):
-        raise result
-    return result
+def _score_cell(method: MethodSpec, train_set: Dataset, test: Dataset) -> tuple[np.ndarray, float]:
+    """Train ``method`` on one cell and score its test side: the score matrix and its accuracy.
+
+    Both sides hold their split's already represented features (see
+    :func:`_represent_splits`), so the cell fits under the linear
+    representation.  A failure in training or scoring propagates.
+    """
+    scores = score_matrix(train_method(method, train_set, linear_representation()), test.features)
+    return scores, accuracy(np.argmax(scores, axis=1) + 1, test.labels)
+
+
+def _report(
+    method: MethodSpec, rate: float, cells: list[tuple[Dataset, Dataset]], positive_class: int
+) -> EvalReport:
+    """The report of ``method`` at noise ``rate``, from its ``(train, test)`` cells, one per split.
+
+    Each cell trains and scores through :func:`_score_cell`, in split order.
+    A cell that fails is recorded in ``errors`` and the others still run.
+    """
+    per_split: list[float] = []
+    pooled: list[tuple[np.ndarray, np.ndarray]] = []  # one-vs-rest (scores, truth)
+    errors: list[str] = []
+    for s, (train_set, test) in enumerate(cells):
+        try:
+            scores, acc = _score_cell(method, train_set, test)
+            per_split.append(acc)
+            pooled.append(multiclass_binary_scores(scores, test.labels, positive_class))
+        except Exception as exc:  # cell isolation: record, keep sweeping
+            errors.append(f"method={method.name} noise={rate} split={s}: {exc}")
+    roc, pr, area = None, None, None
+    if pooled:
+        all_scores, all_truth = map(np.concatenate, zip(*pooled))
+        try:
+            roc = roc_curve(all_scores, all_truth)
+            pr = pr_curve(all_scores, all_truth)
+            area = auc(roc)
+        except ValueError as exc:
+            errors.append(f"method={method.name} noise={rate} curves: {exc}")
+    return EvalReport(
+        method=method.name,
+        noise_rate=float(rate),
+        accuracy=float(np.mean(per_split)) if per_split else float("nan"),
+        per_split_accuracies=tuple(per_split),
+        roc=roc,
+        pr=pr,
+        auc=area,
+        errors=tuple(errors),
+    )
 
 
 def select_alpha_by_cv(
@@ -391,11 +415,7 @@ def select_alpha_by_cv(
     best_alpha, best_score = None, -np.inf
     for alpha in grid:
         candidate = replace(method, alpha=float(alpha))
-        trained = train_cells(candidate, [[tr] for tr, _ in pairs])
-        scores = [
-            accuracy(predict_labels(_model(result), test.features), test.labels)
-            for (result,), (_, test) in zip(trained, pairs)
-        ]
+        scores = [_score_cell(candidate, tr, test)[1] for tr, test in pairs]
         mean_score = float(np.mean(scores))
         if mean_score > best_score:
             best_alpha, best_score = float(alpha), mean_score
@@ -428,54 +448,23 @@ def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
     test_fingerprints = [test.labels.tobytes() for _, test in folds]
 
     # noise is seeded per (rate, split), so every method sees the same noisy sets
-    noisy_trains = [
-        [inject_label_noise(tr, rate, child_seed(cfg.seed, 2, r_idx, s))
-         for r_idx, rate in enumerate(cfg.noise_rates)]
-        for s, (tr, _) in enumerate(folds)
+    cells = [
+        [(inject_label_noise(tr, rate, child_seed(cfg.seed, 2, r_idx, s)), test)
+         for s, (tr, test) in enumerate(folds)]
+        for r_idx, rate in enumerate(cfg.noise_rates)
     ]
-    trained = [train_cells(method, noisy_trains) for method in cfg.methods]
-
-    reports: list[EvalReport] = []
-    for r_idx, rate in enumerate(cfg.noise_rates):
-        rate_reports: list[EvalReport] = []
-        for method, cells in zip(cfg.methods, trained):
-            per_split: list[float] = []
-            pooled: list[tuple[np.ndarray, np.ndarray]] = []  # one-vs-rest (scores, truth)
-            errors: list[str] = []
-            for s, (_, test) in enumerate(folds):
-                try:
-                    scores = score_matrix(_model(cells[s][r_idx]), test.features)
-                    per_split.append(accuracy(np.argmax(scores, axis=1) + 1, test.labels))
-                    pooled.append(multiclass_binary_scores(scores, test.labels, cfg.positive_class))
-                except Exception as exc:  # cell isolation: record, keep sweeping
-                    errors.append(f"method={method.name} noise={rate} split={s}: {exc}")
-                assert test.labels.tobytes() == test_fingerprints[s], "test labels were mutated"
-            roc, pr, area = None, None, None
-            if pooled:
-                all_scores, all_truth = map(np.concatenate, zip(*pooled))
-                try:
-                    roc = roc_curve(all_scores, all_truth)
-                    pr = pr_curve(all_scores, all_truth)
-                    area = auc(roc)
-                except ValueError as exc:
-                    errors.append(f"method={method.name} noise={rate} curves: {exc}")
-            rate_reports.append(
-                EvalReport(
-                    method=method.name,
-                    noise_rate=float(rate),
-                    accuracy=float(np.mean(per_split)) if per_split else float("nan"),
-                    per_split_accuracies=tuple(per_split),
-                    roc=roc,
-                    pr=pr,
-                    auc=area,
-                    errors=tuple(errors),
-                )
-            )
-        reports.extend(_attach_ttests(rate_reports))
-    return reports
+    # cells train method by method; the reports come out rate by rate
+    by_method = [
+        [_report(method, rate, rate_cells, cfg.positive_class)
+         for rate, rate_cells in zip(cfg.noise_rates, cells)]
+        for method in cfg.methods
+    ]
+    assert [test.labels.tobytes() for _, test in folds] == test_fingerprints, \
+        "test labels were mutated"
+    return [report for rate_reports in zip(*by_method) for report in _attach_ttests(rate_reports)]
 
 
-def _attach_ttests(rate_reports: list[EvalReport]) -> list[EvalReport]:
+def _attach_ttests(rate_reports: tuple[EvalReport, ...]) -> list[EvalReport]:
     out = []
     for i, report in enumerate(rate_reports):
         comparisons = []

@@ -31,8 +31,8 @@ KERNEL_KINDS = ("linear", "rbf")
 class KernelSpec:
     """A kernel function: ``linear`` (dot product) or ``rbf`` with a float bandwidth.
 
-    An rbf bandwidth must be > 0, and ``2 * bandwidth**2`` must not underflow
-    to 0 (the same check as a correntropy sigma).
+    An rbf bandwidth must be finite and > 0, and ``2 * bandwidth**2`` must
+    not underflow to 0 (the same check as a correntropy sigma).
     """
 
     kind: str

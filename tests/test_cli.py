@@ -290,6 +290,10 @@ class TestErrors:
              "sigma floor 1e-300 is too small: 2 * 1e-300**2 underflows to 0"),
             (["--representation", "kernel", "--bandwidth", "1e-300"],
              "rbf kernel bandwidth 1e-300 is too small: 2 * 1e-300**2 underflows to 0"),
+            (["--sigma", "inf"], "fixed sigma must be finite, got inf"),
+            (["--sigma-floor", "inf"], "sigma floor must be finite, got inf"),
+            (["--representation", "kernel", "--bandwidth", "inf"],
+             "rbf kernel bandwidth must be finite, got inf"),
         ],
     )
     def test_nan_hyperparameter_is_one_line_error(self, tmp_path, blob_csv, flags, message, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from correntia import (
+    KernelSpec,
     SigmaPolicy,
     correntropy_estimate,
     g_sigma,
@@ -57,6 +58,20 @@ class TestGSigma:
     )
     def test_sigma_whose_square_underflows_is_rejected(self, build, message):
         with pytest.raises(ValueError, match=message + r": 2 \* 1e-\d+\*\*2 underflows to 0"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: g_sigma(1.0, math.inf), "sigma must be finite, got inf"),
+            (lambda: SigmaPolicy.fixed(math.inf), "fixed sigma must be finite, got inf"),
+            (lambda: SigmaPolicy.adaptive(math.inf), "sigma floor must be finite, got inf"),
+            (lambda: KernelSpec("rbf", math.inf), "rbf kernel bandwidth must be finite, got inf"),
+        ],
+    )
+    def test_infinite_width_is_rejected(self, build, message):
+        # an infinite width used to pass, making every Gaussian weight exactly 1
+        with pytest.raises(ValueError, match=f"^{message}$"):
             build()
 
     @given(finite_floats, st.floats(min_value=2.0, max_value=20))

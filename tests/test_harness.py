@@ -15,6 +15,7 @@ from correntia import harness, kernels, regmaxcem
 from correntia import (
     BaselineConfig,
     DataSpec,
+    DegenerateClassError,
     ExperimentConfig,
     MethodSpec,
     ProtocolSpec,
@@ -102,6 +103,11 @@ class TestGenerateSynthetic:
             SyntheticSpec(((1.0,), (2.0,)), 0.0, 5, seed=0)
         with pytest.raises(ValueError, match="std must be > 0, got nan"):
             SyntheticSpec(((1.0,), (2.0,)), math.nan, 5, seed=0)
+
+    def test_infinite_std_is_rejected_when_built(self):
+        # used to pass and fail in run_experiment as "features contain non-finite values"
+        with pytest.raises(ValueError, match="^std must be finite, got inf$"):
+            SyntheticSpec(((1.0,), (2.0,)), math.inf, 5, seed=0)
 
     @pytest.mark.parametrize(
         "means",
@@ -259,6 +265,10 @@ class TestRunExperiment:
                 },
                 "row 0: the linear kernel overflows; rescale the features",
             ),
+            (
+                {"representation": RepresentationSpec("kernel", bandwidth=math.inf)},
+                "rbf kernel bandwidth must be finite, got inf",
+            ),
         ],
     )
     def test_bad_setup_raises_before_training(self, monkeypatch, overrides, message):
@@ -294,6 +304,12 @@ class TestSelectAlphaByCv:
         assert len(builds) == 5
         # each fold's train and test features once, not once per alpha
         assert len(grams) == 10
+
+    def test_fold_training_failure_propagates(self):
+        # a fixed sigma of 1e-8 underflows every auxiliary weight after round 1
+        ds = generate_synthetic(SyntheticSpec(((2.0, 0.0), (-2.0, 0.0)), 1.0, 25, seed=4))
+        with pytest.raises(DegenerateClassError, match="class 1: all auxiliary weights"):
+            select_alpha_by_cv(MethodSpec("regmaxcem", sigma=1e-8), ds)
 
 
 class TestEmitReports:
@@ -431,6 +447,8 @@ class TestMethodSpec:
             ({"iters": 2.5}, "iters must be an integer, got 2.5"),
             ({"iters": True}, "iters must be an integer, got True"),
             ({"sigma": True}, "sigma must be a number or 'adaptive', got True"),
+            ({"sigma": math.inf}, "fixed sigma must be finite, got inf"),
+            ({"sigma_floor": math.inf}, "sigma floor must be finite, got inf"),
         ],
     )
     def test_bad_hyperparameters_raise_when_built(self, overrides, message):
