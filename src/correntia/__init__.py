@@ -80,4 +80,4 @@ from .regmaxcem import (
 )
 from .seeding import child_seed, make_rng
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

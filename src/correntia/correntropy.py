@@ -7,6 +7,7 @@ objective rewards correntropy between scores and indicator targets while
 penalizing predictor weight norms.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,15 +54,20 @@ class SigmaPolicy:
 
 
 def _check_width(name: str, value) -> None:
-    """Reject a kernel width that is not > 0 (NaN and None included), is inf or has ``2 value**2 == 0``.
+    """Reject a kernel width that is not > 0 (NaN and None included), is inf or
+    has ``2 value**2`` overflow to inf or underflow to 0.
 
-    ``value**2`` underflows before ``2.0 * value * value`` does, so a width that
-    passes leaves both forms of the Gaussian's divisor nonzero.
+    ``value**2`` underflows before ``2.0 * value * value`` does, and overflows
+    no later, so a width that passes leaves both forms of the Gaussian's
+    divisor finite and nonzero.
     """
     if value is None or not value > 0:
         raise ValueError(f"{name} must be > 0, got {value}")
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    # a product, not ``**``: Python's float power raises OverflowError instead
+    if not math.isfinite(2.0 * float(value) * float(value)):
+        raise ValueError(f"{name} {value} is too large: 2 * {value}**2 overflows")
     if not 2.0 * value**2 > 0:
         raise ValueError(f"{name} {value} is too small: 2 * {value}**2 underflows to 0")
 

@@ -22,25 +22,26 @@ uniform auxiliary matrix and uses the plain ridge parameter, which makes
 it coincide with the closed-form square-loss baseline.
 
 The represented columns stay the same for a whole fit, so ``train``
-prepares them once (``prepare_columns``): it checks that they are finite,
-shifts them by their unweighted mean and, when there are at least as many
-represented dimensions ``D'`` as samples ``N``, builds the ``N x N`` Gram
-matrix of the shifted columns.  Every round's weight update reads that
-one prepared value.  The update picks one of two equivalent forms by
-shape alone, and both take every class's weighted mean of the shifted
-columns in one product.  With ``D' < N`` it factors one ``D' x D'``
-system per class, built from raw weighted moments of the shifted columns
-and centered by one rank-1 update; every class's right-hand side comes
-from one product.  Otherwise, which is every kernel fit, it factors one
-``N x N`` system per class, each a rescaled and rank-2 centered copy of
-the prepared Gram: O(N^3) once, then O(L N^3 / 3) per round for the
-Cholesky factors, which call LAPACK's ``dpotrf`` and ``dpotrs`` directly.
+prepares them once (``prepare_columns``): it checks that they are finite
+and shifts them by their unweighted mean.  When there are at least as
+many represented dimensions ``D'`` as samples ``N``, which is every kernel
+fit, it also factors the shifted columns once by a column-pivoted QR and
+keeps their coordinates in an orthonormal basis of their numerical range,
+``r`` columns by numpy's ``matrix_rank`` rule (95 of 660 on an rbf kernel
+fit).  Every round's weight update reads that one prepared value and has
+one form: it factors one ``r x r`` system per class (``r = D'`` when
+``D' < N``), built from raw weighted moments of the coordinates and
+centered by one rank-1 update, by Cholesky through LAPACK's ``dpotrf`` and
+``dpotrs``; every class's weighted mean and right-hand side come from one
+product each, and when ``D' >= N`` one more maps the solutions back to the
+weights.  A kernel fit thus costs one QR, O(N^3), then O(L r^2 N) per
+round.
 
 Training is deterministic: the per-class ridge solves are independent and
 run one after another, and reruns with the same BLAS thread count give
 identical models.  Every matrix product of training and scoring large
 enough for BLAS to thread runs on the BLAS that scipy links (``dgemm``,
-``dgemv``, ``dsyrk``, ``dsyr``, ``dsyr2``, and the Cholesky factor and solve
+``dgemv``, ``dsyrk``, ``dsyr``, and the QR and the Cholesky factor and solve
 on its LAPACK), not through numpy's ``@``; only per-class dot products and
 the ``alpha = 0`` least-squares solve stay on numpy.  The numpy and scipy
 wheels each bundle their own OpenBLAS, each with its own thread pool, and
@@ -50,7 +51,7 @@ other's busy ones, which made kernel training at two threads about twice
 as slow as at one.
 Each product still uses the BLAS threads (``OPENBLAS_NUM_THREADS``), and a
 different thread count can move the last bits of the parameters (a few
-1e-12 on a 660-anchor kernel model).
+1e-14 of the largest weight on a 660-anchor kernel model).
 Trained models are immutable and safe to share across threads.
 """
 
@@ -63,8 +64,8 @@ import numpy as np
 
 # Kept at module level: deferred into m_step, its ~0.25 s import would land
 # inside the first train() call instead of at `import correntia`.
-from scipy.linalg.blas import dgemm, dgemv, dsyr, dsyr2, dsyrk
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.blas import dgemm, dgemv, dsyr, dsyrk
+from scipy.linalg.lapack import dgeqp3, dorgqr, dpotrf, dpotrs
 
 from .correntropy import SigmaPolicy, g_sigma, objective, sigma_heuristic
 from .dataset import Dataset, label_indicator
@@ -230,37 +231,68 @@ def e_step(scores: np.ndarray, indicator: np.ndarray, sigma: float) -> AuxMatrix
 class PreparedColumns:
     """The represented columns of one fit in the form every ``m_step`` call reads.
 
-    ``offset`` is the unweighted column mean (length ``D'``), ``shifted`` the
-    columns minus it (``D' x N``, Fortran order) and ``gram`` the lower
-    triangle of ``shifted.T @ shifted`` (``N x N``) when ``D' >= N``, else
-    ``None``.  Built by :func:`prepare_columns`; the arrays are read-only.
+    The columns, shifted by their unweighted mean, are held as ``coords``
+    (``r x N``, Fortran order) in the orthonormal ``basis`` (``D' x r``) of
+    their numerical range, and ``offset`` is that mean in the same basis
+    (length ``r``).  When ``D' < N``, ``basis`` is ``None``: the basis is the
+    identity, so ``coords`` are the shifted columns and ``offset`` the mean.
+    Built by :func:`prepare_columns`; the arrays are read-only.
     """
 
     offset: np.ndarray
-    shifted: np.ndarray
-    gram: np.ndarray | None
+    coords: np.ndarray
+    basis: np.ndarray | None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``(D', N)``, the shape of the represented matrix these were prepared from."""
+        coords, basis = self.coords, self.basis
+        return (len(coords) if basis is None else len(basis), coords.shape[1])
 
 
 def prepare_columns(represented: np.ndarray) -> PreparedColumns:
-    """Check, shift and (when ``D' >= N``) Gram the columns of ``represented`` once.
+    """Check and shift the columns of ``represented`` once, and reduce them when ``D' >= N``.
 
     ``train`` and the hinge and logistic baselines call this once per fit
     and hand the result to every round's ``m_step``.  The shifted columns
     are Fortran ordered for every caller: BLAS rounds differently per
-    layout, and ``dsyrk`` reads them in place.  The Gram is one ``dsyrk``.
+    layout, and ``dsyrk`` reads them in place.  When ``D' >= N`` they are
+    factored once by a column-pivoted QR (LAPACK's ``dgeqp3``, then
+    ``dorgqr`` for the basis), which keeps the ``r`` leading columns with
+    ``|R_kk| > max(D', N) eps |R_11|``, numpy's ``matrix_rank`` rule; the
+    coordinates are those rows of ``R`` with the pivots undone.
     Raises ``ValueError`` if ``represented`` is not finite.
     """
     represented = np.asfortranarray(represented, dtype=np.float64)
     if not np.all(np.isfinite(represented)):
         raise ValueError("represented must be finite")
     offset = represented.mean(axis=1)
-    shifted = represented - offset[:, None]
-    dim, n = shifted.shape
-    gram = dsyrk(1.0, shifted, trans=1, lower=1) if dim >= n else None
-    for array in (offset, shifted, gram):
+    coords = represented - offset[:, None]
+    basis = None
+    if coords.shape[0] >= coords.shape[1]:
+        basis, coords = _numerical_range(coords)
+        offset = dgemv(1.0, basis, offset, trans=1)
+    for array in (offset, coords, basis):
         if array is not None:
             array.setflags(write=False)
-    return PreparedColumns(offset, shifted, gram)
+    return PreparedColumns(offset, coords, basis)
+
+
+def _numerical_range(shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(basis, coords)`` with ``shifted ~= basis @ coords``, from a column-pivoted QR."""
+    dim, n = shifted.shape
+    # Both routines are given their optimal workspace: the wrappers' default
+    # is the minimum, which runs the unblocked code.
+    qr, pivots, tau, _, _ = dgeqp3(shifted, lwork=int(dgeqp3(shifted, lwork=-1)[3][0]))
+    diagonal = np.abs(np.diagonal(qr))
+    # At least one column, so that constant columns still fit w = 0 and a
+    # factor that overflowed reaches the system's finiteness check.
+    rank = max(1, np.count_nonzero(diagonal > max(dim, n) * np.finfo(np.float64).eps * diagonal[0]))
+    coords = np.empty((rank, n), order="F")
+    coords[:, pivots - 1] = np.triu(qr[:rank])
+    leading, tau = qr[:, :rank], tau[:rank]
+    basis = dorgqr(leading, tau, lwork=int(dorgqr(leading, tau, lwork=-1)[1][0]))[0]
+    return basis, coords
 
 
 def m_step(
@@ -282,32 +314,30 @@ def m_step(
     Centering uses the ``u^2``-weighted means of samples and targets, which
     is what makes the bias gradient vanish exactly.  With ``A`` the centered
     columns scaled by ``u``, the solution is ``w = (A A^T + alpha I)^-1 A t``
-    for the scaled, centered targets ``t``, which equals ``A (A^T A + alpha
-    I)^-1 t``.  Both forms read the columns shifted by their unweighted mean
-    (see :func:`prepare_columns`), so that large offsets do not cancel, and
-    take every class's weighted mean of the shifted columns by one
-    ``dgemm``.  The form is chosen by shape only:
-
-    * ``D' < N`` (feature space): the ``D' x D'`` system ``A A^T`` is built,
-      lower triangle only, from raw moments: one ``dsyrk`` per class of the
-      shifted columns scaled by ``u`` (into one reused buffer), centered by
-      one rank-1 ``dsyr`` update.  Every class's right-hand side ``A t``
-      comes from one ``dgemm``, less the weighted mean times the rounded
-      row sum of ``u^2 (y - y_mean)`` (zero in exact arithmetic), which
-      keeps a down-weighted class's weights at their true, tiny size.
-    * ``D' >= N`` (sample space, every kernel fit): the ``N x N`` Gram of
-      the shifted columns (``columns.gram``) is, per class, rescaled to
-      ``diag(u) G diag(u)``, centered on the weighted mean by one rank-2
-      ``dsyr2`` update, solved for ``beta``, and ``w = A beta`` is
-      recovered by one ``dgemv``.
+    for the scaled, centered targets ``t``.  It is solved on the prepared
+    coordinates of the columns (see :func:`prepare_columns`): the columns
+    shifted by their unweighted mean, so that large offsets do not cancel,
+    and, when ``D' >= N``, written in an orthonormal basis of their
+    numerical range.  That range holds ``w``, so ``w = basis v`` for the
+    solution ``v`` on the coordinates.  The ``r x r`` system ``A A^T`` of a
+    class is built, lower triangle only, from raw moments: one ``dsyrk`` of
+    the coordinates scaled by ``u`` (into one reused buffer), centered by
+    one rank-1 ``dsyr`` update.  Every class's weighted mean and right-hand side ``A t`` come
+    from one ``dgemm`` each; the right-hand side is less the weighted mean
+    times the rounded row sum of ``u^2 (y - y_mean)`` (zero in exact
+    arithmetic), which keeps a down-weighted class's weights at their true,
+    tiny size.  When ``D' >= N``, one more ``dgemm`` maps every class's
+    solution ``v`` back to ``w = basis v``; the bias reads the offset in the
+    same coordinates.  The directions below the rank cut are dropped, which
+    moves ``w`` by about the cut over the ridge: 2e-12 to 3e-12 of the
+    largest weight on an rbf kernel fit of 660 samples.
 
     With ``alpha > 0`` each system is symmetric positive definite in exact
     arithmetic and solved by Cholesky, calling LAPACK's ``dpotrf`` and
     ``dpotrs`` directly (the routines ``scipy.linalg.cho_factor`` and
     ``cho_solve`` wrap, with the same results); with ``alpha = 0`` a
-    least-squares solve is used instead (no definiteness guarantee), and
-    both forms give the minimum-norm solution.  The inputs are never
-    modified.
+    least-squares solve is used instead (no definiteness guarantee), which
+    gives the minimum-norm solution.  The inputs are never modified.
 
     Parameters
     ----------
@@ -325,9 +355,9 @@ def m_step(
         Ridge parameter (finite, >= 0).
     columns : PreparedColumns, optional
         ``prepare_columns(represented)``; built here when omitted, so a lone
-        call checks and shifts ``represented`` itself.  ``train`` and the
-        hinge and logistic baselines build it once per fit; given,
-        ``represented`` is only checked against its shape.
+        call checks, shifts and (when ``D' >= N``) factors ``represented``
+        itself.  ``train`` and the hinge and logistic baselines build it once
+        per fit; given, ``represented`` is only checked against its shape.
 
     Returns
     -------
@@ -355,10 +385,9 @@ def m_step(
         raise ValueError(f"aux shape {aux.shape} does not match indicator shape {indicator.shape}")
     if represented.shape[1] != n:
         raise ValueError(f"represented has {represented.shape[1]} columns, expected {n}")
-    if columns is not None and columns.shifted.shape != represented.shape:
+    if columns is not None and columns.shape != represented.shape:
         raise ValueError(
-            f"columns were prepared for shape {columns.shifted.shape}, "
-            f"expected {represented.shape}"
+            f"columns were prepared for shape {columns.shape}, expected {represented.shape}"
         )
     _check_alpha(alpha)
     for name, value in (("aux", aux), ("indicator", indicator)):
@@ -383,12 +412,12 @@ def m_step(
     biases = np.empty(num_classes)
     if columns is None:
         columns = prepare_columns(represented)
-    offset, shifted, gram = columns.offset, columns.shifted, columns.gram
-    # Weighted means of the shifted columns, built C-ordered (D' x L): the
-    # bias dot below then reads the columns of x_means with a stride, and a
+    offset, coords, basis = columns.offset, columns.coords, columns.basis
+    # Weighted means of the coordinates, built C-ordered (r x L): the bias
+    # dot below then reads the columns of x_means with a stride, and a
     # contiguous read would round the biases differently.
-    shift_means = dgemm(1.0, u_sq.T, shifted, trans_a=1, trans_b=1).T / totals
-    x_means = shift_means + offset[:, None]
+    coord_means = dgemm(1.0, u_sq.T, coords, trans_a=1, trans_b=1).T / totals
+    x_means = coord_means + offset[:, None]
     # Row-wise dot products as a batched matmul round like a per-row dot;
     # the near-tied biases of a collapsed model depend on those last bits.
     y_means = (indicator[:, None, :] @ u_sq[:, :, None]).ravel() / totals
@@ -396,44 +425,28 @@ def m_step(
     # class absent from the labels (all -1) with weights of about 1e-32.
     np.copyto(y_means, indicator[:, 0], where=(indicator == indicator[:, :1]).all(axis=1))
 
-    sample_space = gram is not None
-    if sample_space:
-        # With g = S^T d and c = d @ d for the weighted mean d of the shifted
-        # columns, centering the Gram subtracts 1 h^T + h 1^T for h = g - c/2.
-        with np.errstate(over="ignore", invalid="ignore"):  # caught on the diagonal
-            halves = dgemm(1.0, shifted, shift_means, trans_a=1)
-            halves -= 0.5 * np.sum(shift_means**2, axis=0)
-        system = np.empty((n, n), order="F")  # one buffer, rescaled and factored per class
-    else:
-        # Every class's A t at once: S (u^2 (y - y_mean))^T minus the weighted
-        # mean times the row sum.  That sum is zero in exact arithmetic, but
-        # once a class is down-weighted A t is a small difference of large
-        # terms, and subtracting the rounded sum carries the cancellation.
-        moments = u_sq * (indicator - y_means[:, None])
-        rhs = dgemm(1.0, shifted, moments.T)
-        rhs -= shift_means * moments.sum(axis=1)
-        scaled = np.empty((dim, n), order="F")  # one buffer, rescaled per class
-
+    # Every class's A t at once: C (u^2 (y - y_mean))^T minus the weighted
+    # mean times the row sum.  That sum is zero in exact arithmetic, but
+    # once a class is down-weighted A t is a small difference of large
+    # terms, and subtracting the rounded sum carries the cancellation.
+    moments = u_sq * (indicator - y_means[:, None])
+    rhs = dgemm(1.0, coords, moments.T)
+    rhs -= coord_means * moments.sum(axis=1)
+    scaled = np.empty(coords.shape, order="F")  # one buffer, rescaled per class
+    # the solutions in the coordinates: the weights themselves when D' < N
+    solutions = weights if basis is None else np.empty((num_classes, len(coords)))
     for l in range(num_classes):
-        if sample_space:
-            np.multiply(gram, u[l][:, None], out=system)
-            system *= u[l]
-            system = dsyr2(-1.0, u[l], u[l] * halves[:, l], lower=1, a=system, overwrite_a=1)
-            scaled_beta = u[l] * _ridge_solve(system, u[l] * (indicator[l] - y_means[l]), alpha, l)
-            # w = A beta.  The sum is zero in exact arithmetic, but once a
-            # class is down-weighted w is a small difference of large terms
-            # and the rounded sum carries the cancellation.
-            w = dgemv(1.0, shifted, scaled_beta, beta=-scaled_beta.sum(), y=shift_means[:, l])
-        else:
-            # A A^T from raw moments: sum_i u_i^2 s_i s_i^T - t d d^T, lower
-            # triangle only, for the shifted columns s_i, their weighted mean
-            # d and the weight total t
-            np.multiply(shifted, u[l], out=scaled)
-            system = dsyrk(1.0, scaled, lower=1)
-            system = dsyr(-totals[l], shift_means[:, l], lower=1, a=system, overwrite_a=1)
-            w = _ridge_solve(system, rhs[:, l], alpha, l)
-        weights[l] = w
+        # A A^T from raw moments: sum_i u_i^2 c_i c_i^T - t d d^T, lower
+        # triangle only, for the coordinates c_i, their weighted mean d and
+        # the weight total t
+        np.multiply(coords, u[l], out=scaled)
+        system = dsyrk(1.0, scaled, lower=1)
+        system = dsyr(-totals[l], coord_means[:, l], lower=1, a=system, overwrite_a=1)
+        w = _ridge_solve(system, rhs[:, l], alpha, l)
+        solutions[l] = w
         biases[l] = y_means[l] - w @ x_means[:, l]
+    if basis is not None:  # w = basis v, written C-ordered into weights
+        dgemm(1.0, basis, solutions.T, c=weights.T, overwrite_c=1)
     return weights, biases
 
 

@@ -294,6 +294,11 @@ class TestErrors:
             (["--sigma-floor", "inf"], "sigma floor must be finite, got inf"),
             (["--representation", "kernel", "--bandwidth", "inf"],
              "rbf kernel bandwidth must be finite, got inf"),
+            (["--sigma", "1e200"], "fixed sigma 1e+200 is too large: 2 * 1e+200**2 overflows"),
+            (["--sigma-floor", "1e200"],
+             "sigma floor 1e+200 is too large: 2 * 1e+200**2 overflows"),
+            (["--representation", "kernel", "--bandwidth", "1e200"],
+             "rbf kernel bandwidth 1e+200 is too large: 2 * 1e+200**2 overflows"),
         ],
     )
     def test_nan_hyperparameter_is_one_line_error(self, tmp_path, blob_csv, flags, message, capsys):

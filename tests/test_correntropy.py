@@ -1,6 +1,7 @@
 """Gaussian similarity, the correntropy estimator, and the training objective."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -67,11 +68,19 @@ class TestGSigma:
             (lambda: SigmaPolicy.fixed(math.inf), "fixed sigma must be finite, got inf"),
             (lambda: SigmaPolicy.adaptive(math.inf), "sigma floor must be finite, got inf"),
             (lambda: KernelSpec("rbf", math.inf), "rbf kernel bandwidth must be finite, got inf"),
+            # finite widths whose 2 * width**2 overflows, once Python's OverflowError
+            (lambda: g_sigma(1.0, 1e200), "sigma 1e+200 is too large: 2 * 1e+200**2 overflows"),
+            (lambda: SigmaPolicy.fixed(1e155),
+             "fixed sigma 1e+155 is too large: 2 * 1e+155**2 overflows"),
+            (lambda: SigmaPolicy.adaptive(1e200),
+             "sigma floor 1e+200 is too large: 2 * 1e+200**2 overflows"),
+            (lambda: KernelSpec("rbf", 1e200),
+             "rbf kernel bandwidth 1e+200 is too large: 2 * 1e+200**2 overflows"),
         ],
     )
     def test_infinite_width_is_rejected(self, build, message):
         # an infinite width used to pass, making every Gaussian weight exactly 1
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
 
     @given(finite_floats, st.floats(min_value=2.0, max_value=20))

@@ -269,6 +269,10 @@ class TestRunExperiment:
                 {"representation": RepresentationSpec("kernel", bandwidth=math.inf)},
                 "rbf kernel bandwidth must be finite, got inf",
             ),
+            (
+                {"representation": RepresentationSpec("kernel", bandwidth=1e200)},
+                r"rbf kernel bandwidth 1e\+200 is too large: 2 \* 1e\+200\*\*2 overflows",
+            ),
         ],
     )
     def test_bad_setup_raises_before_training(self, monkeypatch, overrides, message):
@@ -449,6 +453,9 @@ class TestMethodSpec:
             ({"sigma": True}, "sigma must be a number or 'adaptive', got True"),
             ({"sigma": math.inf}, "fixed sigma must be finite, got inf"),
             ({"sigma_floor": math.inf}, "sigma floor must be finite, got inf"),
+            ({"sigma": 1e200}, r"fixed sigma 1e\+200 is too large: 2 \* 1e\+200\*\*2 overflows"),
+            ({"sigma_floor": 1e200},
+             r"sigma floor 1e\+200 is too large: 2 \* 1e\+200\*\*2 overflows"),
         ],
     )
     def test_bad_hyperparameters_raise_when_built(self, overrides, message):

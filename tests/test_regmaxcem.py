@@ -234,9 +234,54 @@ def gemm_m_step(aux, represented, indicator, alpha):
     return weights, biases
 
 
+def longdouble_m_step(aux, represented, indicator, alpha):
+    """The weighted ridge step in extended precision, without LAPACK: per
+    class, the weighted normal equations solved by Gaussian elimination with
+    partial pivoting in ``np.longdouble``, rounded to float64 at the end."""
+    num_classes, n = indicator.shape
+    columns = represented.astype(np.longdouble)
+    weights = np.empty((num_classes, len(columns)))
+    biases = np.empty(num_classes)
+    for l in range(num_classes):
+        u_sq = -aux[l].astype(np.longdouble) / n
+        x_mean = (columns * u_sq).sum(axis=1) / u_sq.sum()
+        y_mean = (indicator[l] * u_sq).sum() / u_sq.sum()
+        centered = columns - x_mean[:, None]
+        system = (centered * u_sq) @ centered.T + alpha * np.eye(len(columns), dtype=np.longdouble)
+        rhs = (centered * u_sq) @ (indicator[l] - y_mean)
+        for k in range(len(rhs)):  # forward elimination
+            p = k + int(np.argmax(np.abs(system[k:, k])))
+            system[[k, p]], rhs[[k, p]] = system[[p, k]], rhs[[p, k]]
+            factors = system[k + 1:, k] / system[k, k]
+            system[k + 1:, k:] -= factors[:, None] * system[k, k:]
+            rhs[k + 1:] -= factors * rhs[k]
+        w = np.empty_like(rhs)
+        for k in reversed(range(len(rhs))):  # back substitution
+            w[k] = (rhs[k] - system[k, k + 1:] @ w[k + 1:]) / system[k, k]
+        weights[l] = w
+        biases[l] = y_mean - (w * x_mean).sum()
+    return weights, biases
+
+
 def random_aux_and_indicator(rng, num_classes, n):
     indicator = label_indicator(rng.integers(1, num_classes + 1, n), num_classes)
     return -rng.uniform(0.05, 1.0, (num_classes, n)), indicator
+
+
+def m_step_case(shape, offset, positive_scale):
+    """(aux, represented, indicator): rbf columns of 200 points and 3 classes
+    for ``"rbf-gram"``, else a ``(D', N, L)`` Gaussian matrix plus ``offset``;
+    the positive samples' weights are scaled by ``positive_scale``."""
+    rng = np.random.default_rng(13)
+    if shape == "rbf-gram":
+        points = rng.standard_normal((200, 2))
+        rep = kernel_representation(points, KernelSpec("rbf", 1.0))
+        represented, num_classes = represent_matrix(points, rep).T, 3
+    else:
+        dim, n, num_classes = shape
+        represented = rng.standard_normal((dim, n)) + offset
+    aux, indicator = random_aux_and_indicator(rng, num_classes, represented.shape[1])
+    return np.where(indicator > 0, positive_scale * aux, aux), represented, indicator
 
 
 class TestMStep:
@@ -301,6 +346,14 @@ class TestMStep:
             np.testing.assert_array_equal(weights[:2], beside[0][:2])
             np.testing.assert_array_equal(biases[:2], beside[1][:2])
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_constant_wide_columns_fit_zero_weights(self, alpha):
+        # the shifted columns are all zero, so no direction passes the rank cut
+        indicator = label_indicator([1, 2, 1], 2)
+        weights, biases = m_step(-np.ones((2, 3)), np.full((5, 3), 7.0), indicator, alpha)
+        assert np.all(weights == 0.0)
+        np.testing.assert_allclose(biases, [1.0 / 3.0, -1.0 / 3.0], rtol=1e-15)
+
     @pytest.mark.parametrize("dim", [2, 6], ids=["tall", "wide"])
     def test_degenerate_class_error_names_class(self, dim):
         aux = -np.ones((3, 4))
@@ -353,7 +406,7 @@ class TestMStep:
             pytest.param("rbf-gram", 0.01, 0.0, 1.0, id="square-kernel"),
             pytest.param((40, 25, 3), 0.1, 0.0, 1.0, id="wide"),
             pytest.param((6, 300, 4), 0.0, 0.0, 1.0, id="alpha-zero"),
-            # the sample-space form shifts the columns before its Gram, so a
+            # the D' >= N form shifts the columns before it factors them, so a
             # large common offset must not cancel away the centered values
             pytest.param((40, 25, 3), 0.1, 1e4, 1.0, id="wide-offset"),
             pytest.param((40, 25, 3), 0.0, 0.0, 1.0, id="wide-alpha-zero"),
@@ -363,18 +416,25 @@ class TestMStep:
         ],
     )
     def test_matches_gemm_formula(self, shape, alpha, offset, positive_scale):
-        rng = np.random.default_rng(13)
-        if shape == "rbf-gram":
-            points = rng.standard_normal((200, 2))
-            rep = kernel_representation(points, KernelSpec("rbf", 1.0))
-            represented, num_classes = represent_matrix(points, rep).T, 3
-        else:
-            dim, n, num_classes = shape
-            represented = rng.standard_normal((dim, n)) + offset
-        aux, indicator = random_aux_and_indicator(rng, num_classes, represented.shape[1])
-        aux = np.where(indicator > 0, positive_scale * aux, aux)
+        aux, represented, indicator = m_step_case(shape, offset, positive_scale)
         weights, biases = m_step(aux, represented, indicator, alpha)
         w_ref, b_ref = gemm_m_step(aux, represented, indicator, alpha)
+        np.testing.assert_allclose(weights, w_ref, rtol=1e-10)
+        np.testing.assert_allclose(biases, b_ref, rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "shape, alpha, positive_scale",
+        [
+            pytest.param("rbf-gram", 0.01, 1.0, id="square-kernel"),
+            pytest.param((40, 25, 3), 0.1, 1e-12, id="wide-down-weighted"),
+        ],
+    )
+    def test_matches_extended_precision_oracle(self, shape, alpha, positive_scale):
+        # the D' >= N form drops the directions below its rank cut; a cut at
+        # 660 eps |R_11| instead of max(D', N) eps |R_11| misses by 2.4e-10
+        aux, represented, indicator = m_step_case(shape, 0.0, positive_scale)
+        weights, biases = m_step(aux, represented, indicator, alpha)
+        w_ref, b_ref = longdouble_m_step(aux, represented, indicator, alpha)
         np.testing.assert_allclose(weights, w_ref, rtol=1e-10)
         np.testing.assert_allclose(biases, b_ref, rtol=1e-10)
 
@@ -433,26 +493,46 @@ class TestMStep:
             m_step(aux, np.random.default_rng(6).standard_normal((dim, 4)), label_indicator([1, 2, 3, 1], 3), 0.1)
         assert info.value.class_index == 2
 
-    @pytest.mark.parametrize("n, copies", [(40, 1), (10, 4)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("n, copies", [(40, 1)], ids=["tall"])
     def test_near_singular_system_raises_floating_point_error(self, n, copies):
-        # rank-one features: 3 columns for 40 rows, or 12 columns for 10 rows
+        # rank-one features: 3 columns for 40 rows
         x = np.random.default_rng(15).standard_normal(n)
         ds = Dataset(np.stack([x, 2 * x, x] * copies, axis=1), np.array([1, 2] * (n // 2)), 2)
         with pytest.raises(FloatingPointError, match="class 1.*larger alpha"):
             train(ds, TrainConfig(alpha=1e-20))
 
+    def test_rank_deficient_wide_features_fit_their_numerical_range(self):
+        # rank-one features, 12 columns for 10 rows: the rank cut keeps one
+        # direction, so the fit is the one on the distinct column scaled by
+        # sqrt(24), the norm of (1, 2, 1) * 4, with the minimum-norm weights.
+        # A cut at eps |R_11| alone keeps a rounding direction too (R_22 is
+        # 1.35 eps |R_11| here) and gives weights of about 2e4, same scores.
+        x = np.random.default_rng(15).standard_normal(10)
+        labels = np.array([1, 2] * 5)
+        ds = Dataset(np.stack([x, 2 * x, x] * 4, axis=1), labels, 2)
+        model, _ = train(ds, TrainConfig(alpha=1e-20))
+        scaled = math.sqrt(24.0) * x[:, None]
+        line, _ = train(Dataset(scaled, labels, 2), TrainConfig(alpha=1e-20))
+        np.testing.assert_allclose(
+            score_matrix(model, ds.features), score_matrix(line, scaled), rtol=0, atol=1e-9
+        )
+        direction = np.array([1.0, 2.0, 1.0] * 4) / math.sqrt(24.0)
+        np.testing.assert_allclose(model.weights, line.weights * direction, rtol=1e-12)
+        np.testing.assert_allclose(model.weights[0, :3], [-0.02839, -0.05678, -0.02839], rtol=1e-3)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.05])
     def test_precomputed_gram_changes_nothing(self, alpha):
-        # columns prepared once per fit, with the Gram in the wide form, give
-        # the bits that m_step gets by preparing them itself, in both forms
+        # columns prepared once per fit, reduced to their numerical range when
+        # D' >= N, give the bits that m_step gets by preparing them itself
         rng = np.random.default_rng(18)
         for dim in (5, 30):
             represented = rng.standard_normal((dim, 20)) + 3.0
             aux, indicator = random_aux_and_indicator(rng, 3, 20)
             represented.setflags(write=False)
             columns = regmaxcem.prepare_columns(represented)
-            assert (columns.gram is None) == (dim < 20)
-            for a in (columns.offset, columns.shifted, columns.gram):
+            assert (columns.basis is None) == (dim < 20)
+            assert columns.shape == (dim, 20)
+            for a in (columns.offset, columns.coords, columns.basis):
                 assert a is None or not a.flags.writeable  # shared by every round of a fit
             given = m_step(aux, represented, indicator, alpha, columns=columns)
             built = m_step(aux, represented, indicator, alpha)
@@ -462,6 +542,18 @@ class TestMStep:
             message = rf"columns were prepared for shape \({dim}, 19\), expected \({dim}, 20\)"
             with pytest.raises(ValueError, match=message):
                 m_step(aux, represented, indicator, alpha, columns=other)
+
+    def test_prepare_columns_keeps_the_numerical_range(self):
+        # rank-3 columns (30 x 20) plus an offset: the shifted columns keep 3
+        # orthonormal directions, and the offset is kept in the same basis
+        rng = np.random.default_rng(22)
+        represented = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 20)) + 5.0
+        columns = regmaxcem.prepare_columns(represented)
+        basis, mean = columns.basis, represented.mean(axis=1)
+        assert basis.shape == (30, 3) and columns.coords.shape == (3, 20)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(3), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(basis @ columns.coords, represented - mean[:, None], atol=1e-13)
+        np.testing.assert_allclose(columns.offset, basis.T @ mean, rtol=1e-14)
 
     def test_prepare_columns_rejects_non_finite(self):
         represented = np.ones((3, 4))
@@ -528,13 +620,14 @@ class TestMStep:
 
 
 def count_calls(monkeypatch, *names):
-    """Count calls to the named BLAS routines as ``regmaxcem`` binds them."""
+    """Count calls to the named BLAS and LAPACK routines as ``regmaxcem``
+    binds them; a LAPACK workspace query (``lwork=-1``) is not counted."""
     counts = dict.fromkeys(names, 0)
     for name in names:
         real = getattr(regmaxcem, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
-            counts[_name] += 1
+            counts[_name] += kwargs.get("lwork") != -1
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(regmaxcem, name, counting)
@@ -631,18 +724,20 @@ class TestTrain:
         assert counts == {"dgemm": 10, "dgemv": 0, "dsyrk": 6, "dsyr": 6}
 
     def test_kernel_fit_builds_one_gram(self, monkeypatch):
-        # D' >= N: the N x N Gram of the shifted columns is built once per fit,
-        # and each class of each round only rescales and updates it
-        counts = count_calls(monkeypatch, "dgemm", "dgemv", "dsyrk", "dsyr2", "dsyr")
+        # D' >= N: the shifted columns are factored by one pivoted QR per fit,
+        # and each class of each round solves on their r coordinates
+        counts = count_calls(monkeypatch, "dgemm", "dgemv", "dsyrk", "dsyr", "dgeqp3", "dorgqr")
         ds = two_blob_dataset(seed=8)
         rep = kernel_representation(ds.features, KernelSpec("rbf", 1.0))
         cfg = TrainConfig(max_iters=3, tol=0.0, representation=rep)
         train(ds, cfg)
-        # per round: shifted-class means, their projections and scores by
-        # dgemm; per class, one dsyr2 centering and one dgemv recovery
-        assert counts == {"dgemm": 9, "dgemv": 6, "dsyrk": 1, "dsyr2": 6, "dsyr": 0}
+        # per fit: one QR, its basis and one dgemv for the offset's
+        # coordinates; per round: class means, right-hand sides, the map back
+        # to the weights and scores by dgemm; per class, one dsyrk and one dsyr
+        expected = {"dgemm": 12, "dgemv": 1, "dsyrk": 6, "dsyr": 6, "dgeqp3": 1, "dorgqr": 1}
+        assert counts == expected
         train(ds, cfg)
-        assert counts["dsyrk"] == 2
+        assert counts == {name: 2 * count for name, count in expected.items()}
 
     def test_no_matrix_product_runs_on_numpy(self):
         # Every N x N (or D' x D') product goes through scipy's BLAS; numpy's
@@ -664,7 +759,7 @@ class TestTrain:
 
     def test_logistic_newton_steps_share_scipy_blas_and_one_gram(self, monkeypatch):
         # the logistic baseline's scores and gradients run on scipy's BLAS too,
-        # and its kernel Newton steps solve through one Gram per fit
+        # and its kernel Newton steps solve through one pivoted QR per fit
         tree = ast.parse(inspect.getsource(baselines.train_logistic))
         numpy_products = {"dot", "matmul", "einsum", "inner", "outer", "tensordot", "vdot"}
         assert not [
@@ -673,11 +768,11 @@ class TestTrain:
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
             or isinstance(node, ast.Attribute) and node.attr in numpy_products
         ]
-        counts = count_calls(monkeypatch, "dsyrk")
+        counts = count_calls(monkeypatch, "dgeqp3")
         ds = two_blob_dataset(seed=8)
         rep = kernel_representation(ds.features, KernelSpec("rbf", 1.0))
         baselines.train_logistic(ds, rep, BaselineConfig(max_iters=20, tol=0.0))
-        assert counts == {"dsyrk": 1}
+        assert counts == {"dgeqp3": 1}
 
 
 class TestEvaluateObjective:
