@@ -499,22 +499,28 @@ def _write_curves(files) -> None:
 
     A threshold column whose bits equal the previous file's (a ROC curve
     followed by the PR curve of the same scores) reuses that file's texts,
-    and the x and y columns go through one memo keyed on the float64 bit
-    pattern, which lasts for this call only: count ratios with shared
-    denominators repeat across the curves of one sweep.  So each distinct
-    x/y value is formatted once per call, and each threshold column once
-    per run of equal columns.
+    and so does an x column whose bits equal the previous file's y column
+    (the PR recall is the ROC true-positive rate).  The other x and y
+    columns go through one memo keyed on the float64 bit pattern, which
+    lasts for this call only: count ratios with shared denominators repeat
+    across the curves of one sweep.  So each distinct x/y value is
+    formatted once per call, and each threshold column once per run of
+    equal columns.
     """
     header = ["threshold", "x", "y"]  # plain words: their own cell texts
     memo = {}
-    previous = thresholds = None
+    previous = thresholds = last_y = y_texts = None
     for path, curve in files:
-        if previous is None or not np.array_equal(
-            curve.threshold.view(np.int64), previous.view(np.int64)
-        ):
+        if not _same_bits(curve.threshold, previous):
             previous, thresholds = curve.threshold, _cell_texts(curve.threshold)
-        columns = [thresholds, _cell_texts(curve.x, memo), _cell_texts(curve.y, memo)]
-        _write_cells(path, header, columns)
+        x_texts = y_texts if _same_bits(curve.x, last_y) else _cell_texts(curve.x, memo)
+        last_y, y_texts = curve.y, _cell_texts(curve.y, memo)
+        _write_cells(path, header, [thresholds, x_texts, y_texts])
+
+
+def _same_bits(values: np.ndarray, other: np.ndarray | None) -> bool:
+    """Whether two float64 arrays hold the same bits (``-0.0`` is not ``0.0``)."""
+    return other is not None and np.array_equal(values.view(np.int64), other.view(np.int64))
 
 
 def emit_reports(reports: list[EvalReport], out_dir) -> list[str]:

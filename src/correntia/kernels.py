@@ -56,7 +56,8 @@ class Representation:
     """How samples are fed to predictors: raw features or kernel vectors.
 
     Kernel mode requires ``anchors`` (the training feature matrix, as a
-    non-empty matrix) and a :class:`KernelSpec`; linear mode takes neither.
+    non-empty, finite matrix) and a :class:`KernelSpec`; linear mode takes
+    neither.
     """
 
     mode: str
@@ -71,6 +72,8 @@ class Representation:
             anchors = np.ascontiguousarray(self.anchors, dtype=np.float64)  # None: 1-D, rejected
             if anchors.ndim != 2 or anchors.size == 0:
                 raise ValueError("kernel mode requires non-empty anchors, one row per anchor")
+            if not np.all(np.isfinite(anchors)):  # a NaN anchor makes every score NaN, inf 0
+                raise ValueError("kernel anchors must be finite")
             if not isinstance(self.kernel, KernelSpec):
                 raise ValueError(f"kernel mode requires a KernelSpec, got {self.kernel!r}")
             anchors.setflags(write=False)
@@ -111,9 +114,9 @@ def gram(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     # exp(-d / (2 b^2)), each step written into cdist's own output: fresh
     # temporaries of this size cost more in page faults than in arithmetic
     kernel = cdist(rows, cols, metric="sqeuclidean")
-    np.negative(kernel, out=kernel)
+    # d / (-2 b^2) has the bits of -d / (2 b^2): IEEE division is sign-symmetric
     with np.errstate(over="ignore"):  # a quotient of -inf gives the exact limit 0
-        np.divide(kernel, 2.0 * spec.bandwidth**2, out=kernel)
+        np.divide(kernel, -2.0 * spec.bandwidth**2, out=kernel)
         return np.exp(kernel, out=kernel)
 
 
@@ -130,21 +133,29 @@ def represent_matrix(X: np.ndarray, rep: Representation) -> np.ndarray:
         raise ValueError(
             f"sample dimension {X.shape[1]} does not match anchor dimension {rep.anchors.shape[1]}"
         )
+    _check_finite_rows(X)
+    return gram(rep.kernel, X, rep.anchors)
+
+
+def _check_finite_rows(X: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first row of ``X`` with a non-finite value."""
     finite = np.isfinite(X)
     if not finite.all():
         row = int(np.flatnonzero(~finite.all(axis=1))[0])
         raise ValueError(f"row {row}: non-finite sample value")
-    return gram(rep.kernel, X, rep.anchors)
 
 
 def median_bandwidth(features: np.ndarray) -> float:
     """Median pairwise Euclidean distance over all sample pairs (1.0 if degenerate).
 
     The bandwidth heuristic used when no explicit rbf bandwidth is given.
+    A non-finite feature raises ``ValueError`` naming its row, as in
+    :func:`represent_matrix`: its distances would make the median NaN.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[0] < 2:
         raise ValueError("median bandwidth needs at least 2 samples")
+    _check_finite_rows(features)
     from scipy.spatial.distance import pdist
 
     med = float(np.median(pdist(features)))

@@ -25,25 +25,28 @@ The represented columns stay the same for a whole fit, so ``train``
 prepares them once (``prepare_columns``): it checks that they are finite
 and shifts them by their unweighted mean.  When there are at least as
 many represented dimensions ``D'`` as samples ``N``, which is every kernel
-fit, it also factors the shifted columns once by a column-pivoted QR and
-keeps their coordinates in an orthonormal basis of their numerical range,
-``r`` columns by numpy's ``matrix_rank`` rule (95 of 660 on an rbf kernel
-fit).  Every round's weight update reads that one prepared value and has
-one form: it factors one ``r x r`` system per class (``r = D'`` when
+fit, it also keeps the shifted columns' coordinates in an orthonormal
+basis of their numerical range, ``r`` columns wide.  A kernel Gram is
+symmetric positive semidefinite, so that basis comes from the columns a
+pivoted Cholesky picks, in O(N^2 r) (105 to 108 of 660 on an rbf kernel
+fit); any other wide matrix is factored by a column-pivoted QR, O(N^3).
+Every round's weight update reads that one prepared value and has one
+form: it factors one ``r x r`` system per class (``r = D'`` when
 ``D' < N``), built from raw weighted moments of the coordinates and
 centered by one rank-1 update, by Cholesky through LAPACK's ``dpotrf`` and
 ``dpotrs``; every class's weighted mean and right-hand side come from one
 product each, and when ``D' >= N`` one more maps the solutions back to the
-weights.  A kernel fit thus costs one QR, O(N^3), then O(L r^2 N) per
-round.
+weights.  A kernel fit thus costs one reduction, O(N^2 r), then
+O(L r^2 N) per round.
 
 Training is deterministic: the per-class ridge solves are independent and
 run one after another, and reruns with the same BLAS thread count give
 identical models.  Every matrix product of training and scoring large
 enough for BLAS to thread runs on the BLAS that scipy links (``dgemm``,
-``dgemv``, ``dsyrk``, ``dsyr``, and the QR and the Cholesky factor and solve
-on its LAPACK), not through numpy's ``@``; only per-class dot products and
-the ``alpha = 0`` least-squares solve stay on numpy.  The numpy and scipy
+``dgemv``, ``dsyrk``, ``dsyr``, and the pivoted Cholesky, the QRs and the
+Cholesky factor and solve on its LAPACK), not through numpy's ``@``; only
+per-class dot products and the ``alpha = 0`` least-squares solve stay on
+numpy.  The numpy and scipy
 wheels each bundle their own OpenBLAS, each with its own thread pool, and
 OpenBLAS workers keep spinning for a while after a call: switching libraries
 within a round left one pool's idle workers taking the CPUs from the
@@ -65,7 +68,7 @@ import numpy as np
 # Kept at module level: deferred into m_step, its ~0.25 s import would land
 # inside the first train() call instead of at `import correntia`.
 from scipy.linalg.blas import dgemm, dgemv, dsyr, dsyrk
-from scipy.linalg.lapack import dgeqp3, dorgqr, dpotrf, dpotrs
+from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr, dpotrf, dpotrs, dpstrf
 
 from .correntropy import SigmaPolicy, g_sigma, objective, sigma_heuristic
 from .dataset import Dataset, label_indicator
@@ -257,25 +260,70 @@ def prepare_columns(represented: np.ndarray) -> PreparedColumns:
     and hand the result to every round's ``m_step``.  The shifted columns
     are Fortran ordered for every caller: BLAS rounds differently per
     layout, and ``dsyrk`` reads them in place.  When ``D' >= N`` they are
-    factored once by a column-pivoted QR (LAPACK's ``dgeqp3``, then
-    ``dorgqr`` for the basis), which keeps the ``r`` leading columns with
-    ``|R_kk| > max(D', N) eps |R_11|``, numpy's ``matrix_rank`` rule; the
-    coordinates are those rows of ``R`` with the pivots undone.
+    reduced once to an orthonormal basis of their numerical range:
+
+    * an exactly symmetric ``represented`` (every kernel Gram) is given to
+      a pivoted Cholesky (LAPACK's ``dpstrf``, stopping at its default
+      ``N eps`` times the largest diagonal entry), and the basis is the QR
+      (``dgeqrf``, ``dorgqr``) of the ``r`` columns it picks, which hold
+      the shifted ones too; the coordinates are ``basis^T`` times the
+      shifted columns.  This is kept when no shifted column lies farther
+      from the basis than ``max(D', N) eps`` times the largest shifted
+      column norm, the same cut as the QR's below;
+    * otherwise (a non-square or non-symmetric matrix, or a symmetric one
+      whose picked columns miss that cut, as an indefinite one's do) the
+      shifted columns are factored by a column-pivoted QR (``dgeqp3``,
+      then ``dorgqr`` for the basis), which keeps the ``r`` leading
+      columns with ``|R_kk| > max(D', N) eps |R_11|``, numpy's
+      ``matrix_rank`` rule; the coordinates are those rows of ``R`` with
+      the pivots undone.
+
     Raises ``ValueError`` if ``represented`` is not finite.
     """
     represented = np.asfortranarray(represented, dtype=np.float64)
     if not np.all(np.isfinite(represented)):
         raise ValueError("represented must be finite")
     offset = represented.mean(axis=1)
-    coords = represented - offset[:, None]
     basis = None
-    if coords.shape[0] >= coords.shape[1]:
-        basis, coords = _numerical_range(coords)
+    if represented.shape[0] < represented.shape[1]:
+        coords = represented - offset[:, None]
+    else:
+        reduced = _symmetric_range(represented, offset)
+        basis, coords = reduced or _numerical_range(represented - offset[:, None])
         offset = dgemv(1.0, basis, offset, trans=1)
     for array in (offset, coords, basis):
         if array is not None:
             array.setflags(write=False)
     return PreparedColumns(offset, coords, basis)
+
+
+def _symmetric_range(gram: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(basis, coords)`` for the shifted columns ``gram - mean`` of a symmetric
+    ``gram``, on the columns that a pivoted Cholesky picks; ``None`` when
+    ``gram`` is not exactly symmetric, or when those columns miss a shifted
+    column by more than the cut of :func:`_numerical_range` (an indefinite
+    ``gram``, or rank 0)."""
+    if not np.array_equal(gram, gram.T):
+        return None
+    n = len(gram)
+    pivots, rank = dpstrf(gram, lower=1)[1:3]  # stops at LAPACK's n eps max(diag) default
+    if rank == 0:
+        return None
+    picked = np.asfortranarray(gram[:, pivots[:rank] - 1])
+    qr, tau = dgeqrf(picked, lwork=int(dgeqrf(picked, lwork=-1)[2][0]), overwrite_a=1)[:2]
+    basis = dorgqr(qr, tau, lwork=int(dorgqr(qr, tau, lwork=-1)[1][0]), overwrite_a=1)[0]
+    shifted = gram - mean[:, None]
+    coords = dgemm(1.0, basis, shifted, trans_a=1)
+    # the residual is written over the shifted columns: no second N x N array
+    residual = dgemm(-1.0, basis, coords, beta=1.0, c=shifted, overwrite_c=1)
+    lost = np.square(residual, out=residual).sum(axis=0)
+    # the largest squared shifted column norm, as kept plus lost (orthogonal)
+    cut = n * np.finfo(np.float64).eps  # max(D', N) eps, as in _numerical_range
+    bound = cut * cut * (np.square(coords).sum(axis=0) + lost).max()
+    # NaN, an overflowed or an underflowed bound fail this and go to the QR
+    if not (lost.max() <= bound and np.finfo(np.float64).tiny <= bound < np.inf):
+        return None
+    return basis, coords
 
 
 def _numerical_range(shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,8 +376,8 @@ def m_step(
     arithmetic), which keeps a down-weighted class's weights at their true,
     tiny size.  When ``D' >= N``, one more ``dgemm`` maps every class's
     solution ``v`` back to ``w = basis v``; the bias reads the offset in the
-    same coordinates.  The directions below the rank cut are dropped, which
-    moves ``w`` by about the cut over the ridge: 2e-12 to 3e-12 of the
+    same coordinates.  The directions below the cut are dropped, which
+    moves ``w`` by about the cut over the ridge: 4e-13 to 8e-13 of the
     largest weight on an rbf kernel fit of 660 samples.
 
     With ``alpha > 0`` each system is symmetric positive definite in exact

@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +71,8 @@ def _mutated_model_text(mutation) -> str:
 @given(model_mutations)
 @example(("truncate", len(VALID_MODEL) // 2))
 @example(("set", ("kernel", "bandwidth"), 1e-300))
+@example(("set", ("anchors", 0, 0), math.nan))
+@example(("set", ("anchors", 1, 1), HUGE))
 def test_model_file_loads_or_fails_with_one_error_line(mutation):
     with tempfile.TemporaryDirectory() as tmp:
         model_path, data, out = Path(tmp) / "model.json", Path(tmp) / "x.csv", Path(tmp) / "p.csv"
@@ -181,3 +184,32 @@ def test_write_curves_bytes_match_csv_writer(curves):
         for path, curve in zip(paths, curves):
             columns = [curve.threshold, curve.x, curve.y]
             assert path.read_bytes() == _csv_writer_bytes(["threshold", "x", "y"], columns)
+
+
+# the thresholds once, the ROC x and y, the PR y, and the PR x unless reused
+@pytest.mark.parametrize(
+    "pr_x, formatted", [([0.0, 0.5, 1.0], 4), ([-0.0, 0.5, 1.0], 5)], ids=["equal", "signed-zero"]
+)
+def test_write_curves_reuses_roc_y_texts_only_for_equal_bits(pr_x, formatted, monkeypatch):
+    # A PR recall column holding the bits of the ROC true-positive rate
+    # before it takes that file's texts; one that equals it only by value
+    # (-0.0 == 0.0) is formatted itself.
+    import correntia.harness
+
+    calls = []
+    real = correntia.harness._cell_texts
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(correntia.harness, "_cell_texts", counting)
+    roc = Curve([math.inf, 0.5, 0.0], [0.0, 0.25, 1.0], [0.0, 0.5, 1.0])
+    pr = Curve([math.inf, 0.5, 0.0], pr_x, [1.0, 0.75, 0.5])
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "roc.csv", Path(tmp) / "pr.csv"]
+        _write_curves(list(zip(paths, (roc, pr))))
+        for path, curve in zip(paths, (roc, pr)):
+            columns = [curve.threshold, curve.x, curve.y]
+            assert path.read_bytes() == _csv_writer_bytes(["threshold", "x", "y"], columns)
+    assert len(calls) == formatted

@@ -1,6 +1,7 @@
 """End-to-end CLI flows: synth, train, predict, eval, experiment."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -390,6 +391,19 @@ class TestErrors:
                         "--out", tmp_path / "p.csv", "--label-col", "label"]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {square_model}: class_map must list 2 class names, one per weight row\n"
+
+    def test_predict_rejects_non_finite_kernel_anchor(self, tmp_path, blob_csv, capsys):
+        model = tmp_path / "kernel.json"
+        assert run_cli(["train", "--data", blob_csv, "--label-col", "label", "--method", "square",
+                        "--model-out", model, "--representation", "kernel", "--kernel", "rbf",
+                        "--bandwidth", "1.0"]) == 0
+        payload = json.loads(model.read_text())
+        payload["anchors"][0][0] = math.nan
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli(["predict", "--model", model, "--data", blob_csv,
+                        "--out", tmp_path / "p.csv", "--label-col", "label"]) == 1
+        assert capsys.readouterr().err == f"error: {model}: kernel anchors must be finite\n"
 
     def test_bad_config_is_one_line_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -87,6 +87,12 @@ class TestRepresent:
         with pytest.raises(ValueError, match="row 2.*non-finite"):
             represent_matrix([[0.0, 1.0], [1.0, 0.0], [0.0, bad]], rep)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_kernel_mode_rejects_non_finite_anchors(self, bad):
+        # a NaN anchor would make every score NaN and an inf one every entry 0
+        with pytest.raises(ValueError, match="^kernel anchors must be finite$"):
+            kernel_representation([[0.0, 1.0], [bad, 0.0]], KernelSpec("rbf", 1.0))
+
     def test_kernel_mode_requires_anchors(self):
         with pytest.raises(ValueError, match="anchors"):
             kernel_representation(np.empty((0, 2)), KernelSpec("rbf", 1.0))
@@ -116,6 +122,32 @@ class TestMedianBandwidth:
         # pairwise distances {1, 2, 3} -> median 2
         assert median_bandwidth(np.array([[0.0], [1.0], [3.0]])) == 2.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_its_row(self, bad):
+        # its distances would make the median NaN, which fell back to 1.0
+        with pytest.raises(ValueError, match="^row 2: non-finite sample value$"):
+            median_bandwidth(np.array([[0.0, 1.0], [1.0, 0.0], [bad, 0.0], [2.0, 2.0]]))
+
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="at least 2"):
             median_bandwidth(np.array([[1.0]]))
+
+
+class TestRbfDivision:
+    @pytest.mark.parametrize("bandwidth", [1e-160, 1e-3, 1.0, 1.5, 1e150])
+    def test_bits_match_negate_then_divide(self, bandwidth, monkeypatch):
+        # one division by -2 b^2 in place of a negation then a division by
+        # 2 b^2; the quotients that overflow must stay silent, as before
+        import scipy.spatial.distance
+
+        rng = np.random.default_rng(9)
+        distances = np.concatenate([
+            [0.0, 5e-324, 1e-300, 1e300, np.inf], rng.exponential(1.0, 20000),
+            10.0 ** rng.uniform(-320, 308, 20000),
+        ]).reshape(-1, 5)
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", lambda *a, **k: distances.copy())
+        spec = KernelSpec("rbf", bandwidth)
+        kernel = gram(spec, np.zeros((1, 2)), np.zeros((1, 2)))
+        with np.errstate(over="ignore"):
+            expected = np.exp(np.divide(np.negative(distances), 2.0 * bandwidth**2))
+        assert kernel.tobytes() == expected.tobytes()

@@ -555,6 +555,57 @@ class TestMStep:
         np.testing.assert_allclose(basis @ columns.coords, represented - mean[:, None], atol=1e-13)
         np.testing.assert_allclose(columns.offset, basis.T @ mean, rtol=1e-14)
 
+    def test_symmetric_gram_keeps_a_range_within_the_cut(self, monkeypatch):
+        # an rbf Gram is reduced on the columns a pivoted Cholesky picks, with
+        # no pivoted QR; every shifted column is kept to within the QR's cut,
+        # max(D', N) eps times the largest shifted column norm
+        counts = count_calls(monkeypatch, "dpstrf", "dgeqrf", "dorgqr", "dgeqp3")
+        points = np.random.default_rng(23).standard_normal((200, 2))
+        rep = kernel_representation(points, KernelSpec("rbf", 1.0))
+        gram = represent_matrix(points, rep).T
+        columns = regmaxcem.prepare_columns(gram)
+        assert counts == {"dpstrf": 1, "dgeqrf": 1, "dorgqr": 1, "dgeqp3": 0}
+        basis, coords, mean = columns.basis, columns.coords, gram.mean(axis=1)
+        rank = len(coords)
+        assert rank < 200 and basis.shape == (200, rank) and coords.shape == (rank, 200)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(rank), rtol=0, atol=1e-14)
+        shifted = gram - mean[:, None]
+        lost = np.linalg.norm(shifted - basis @ coords, axis=0)
+        assert lost.max() <= 200 * np.finfo(np.float64).eps * np.linalg.norm(shifted, axis=0).max()
+        np.testing.assert_allclose(columns.offset, basis.T @ mean, rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "case, cholesky_runs",
+        [("exchange-7", 1), ("exchange-8", 1), ("b-plus-bt", 1), ("not-symmetric", 0)],
+    )
+    def test_indefinite_or_non_symmetric_square_keeps_the_pivoted_qr(
+        self, case, cholesky_runs, monkeypatch
+    ):
+        # A pivoted Cholesky's columns miss an indefinite matrix's range (the
+        # exchange matrix stops at rank 1 for odd N and at rank 0 for even N),
+        # and a non-symmetric matrix is never given to it (its lower triangle
+        # here is positive definite, so the Cholesky would keep all of it).
+        # Each takes one column-pivoted QR, with the bits it always had.
+        rng = np.random.default_rng(24)
+        if case.startswith("exchange"):
+            represented = np.eye(int(case[-1]))[::-1]
+        elif case == "b-plus-bt":
+            b = rng.standard_normal((12, 12))
+            represented = b + b.T
+        else:
+            m = rng.standard_normal((12, 12))
+            represented = m @ m.T + 12.0 * np.eye(12)
+            represented[0, 5] += 1.0
+        counts = count_calls(monkeypatch, "dpstrf", "dgeqp3")
+        columns = regmaxcem.prepare_columns(represented)
+        assert counts == {"dpstrf": cholesky_runs, "dgeqp3": 1}
+        represented = np.asfortranarray(represented)
+        mean = represented.mean(axis=1)
+        basis, coords = regmaxcem._numerical_range(represented - mean[:, None])
+        np.testing.assert_array_equal(columns.basis, basis)
+        np.testing.assert_array_equal(columns.coords, coords)
+        np.testing.assert_array_equal(columns.offset, regmaxcem.dgemv(1.0, basis, mean, trans=1))
+
     def test_prepare_columns_rejects_non_finite(self):
         represented = np.ones((3, 4))
         represented[2, 1] = np.inf
@@ -724,17 +775,24 @@ class TestTrain:
         assert counts == {"dgemm": 10, "dgemv": 0, "dsyrk": 6, "dsyr": 6}
 
     def test_kernel_fit_builds_one_gram(self, monkeypatch):
-        # D' >= N: the shifted columns are factored by one pivoted QR per fit,
-        # and each class of each round solves on their r coordinates
-        counts = count_calls(monkeypatch, "dgemm", "dgemv", "dsyrk", "dsyr", "dgeqp3", "dorgqr")
+        # a kernel Gram is symmetric: its range is found once per fit from the
+        # columns a pivoted Cholesky picks, and each class of each round
+        # solves on the shifted columns' r coordinates
+        names = ("dgemm", "dgemv", "dsyrk", "dsyr", "dpstrf", "dgeqrf", "dorgqr", "dgeqp3")
+        counts = count_calls(monkeypatch, *names)
         ds = two_blob_dataset(seed=8)
         rep = kernel_representation(ds.features, KernelSpec("rbf", 1.0))
         cfg = TrainConfig(max_iters=3, tol=0.0, representation=rep)
         train(ds, cfg)
-        # per fit: one QR, its basis and one dgemv for the offset's
-        # coordinates; per round: class means, right-hand sides, the map back
-        # to the weights and scores by dgemm; per class, one dsyrk and one dsyr
-        expected = {"dgemm": 12, "dgemv": 1, "dsyrk": 6, "dsyr": 6, "dgeqp3": 1, "dorgqr": 1}
+        # per fit: the pivots, a QR of the picked columns and its basis, two
+        # dgemm for the coordinates and the residual, one dgemv for the
+        # offset's coordinates, and no pivoted QR; per round: class means,
+        # right-hand sides, the map back to the weights and scores by dgemm;
+        # per class, one dsyrk and one dsyr
+        expected = {
+            "dgemm": 14, "dgemv": 1, "dsyrk": 6, "dsyr": 6,
+            "dpstrf": 1, "dgeqrf": 1, "dorgqr": 1, "dgeqp3": 0,
+        }
         assert counts == expected
         train(ds, cfg)
         assert counts == {name: 2 * count for name, count in expected.items()}
@@ -759,7 +817,8 @@ class TestTrain:
 
     def test_logistic_newton_steps_share_scipy_blas_and_one_gram(self, monkeypatch):
         # the logistic baseline's scores and gradients run on scipy's BLAS too,
-        # and its kernel Newton steps solve through one pivoted QR per fit
+        # and its kernel Newton steps solve on one range per fit, from one
+        # pivoted Cholesky and no pivoted QR
         tree = ast.parse(inspect.getsource(baselines.train_logistic))
         numpy_products = {"dot", "matmul", "einsum", "inner", "outer", "tensordot", "vdot"}
         assert not [
@@ -768,11 +827,11 @@ class TestTrain:
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
             or isinstance(node, ast.Attribute) and node.attr in numpy_products
         ]
-        counts = count_calls(monkeypatch, "dgeqp3")
+        counts = count_calls(monkeypatch, "dpstrf", "dgeqrf", "dorgqr", "dgeqp3")
         ds = two_blob_dataset(seed=8)
         rep = kernel_representation(ds.features, KernelSpec("rbf", 1.0))
         baselines.train_logistic(ds, rep, BaselineConfig(max_iters=20, tol=0.0))
-        assert counts == {"dgeqp3": 1}
+        assert counts == {"dpstrf": 1, "dgeqrf": 1, "dorgqr": 1, "dgeqp3": 0}
 
 
 class TestEvaluateObjective:
