@@ -10,11 +10,12 @@ training objective.
 
 The hinge and logistic trainers take damped Newton steps, each a weighted
 ridge solve by the same :func:`m_step` that the square and correntropy
-trainers use, on columns prepared once per fit (in kernel mode with one
-pivoted QR).  The hinge trainer minimizes the squared hinge (the L2-SVM),
-whose Newton step is exact on the current active set; the logistic
-trainer is iteratively reweighted least squares.  No trainer takes a step
-size.
+trainers use, on columns prepared once per fit (in kernel mode reduced
+once to the range of the Gram's columns that a pivoted Cholesky picks;
+see :func:`~correntia.regmaxcem.prepare_columns`).  The hinge trainer
+minimizes the squared hinge (the L2-SVM), whose Newton step is exact on
+the current active set; the logistic trainer is iteratively reweighted
+least squares.  No trainer takes a step size.
 """
 
 from dataclasses import dataclass

@@ -114,11 +114,13 @@ def _read_csv(path, label_column, require_label: bool):
 
     Every column except ``label_column`` is a decimal float feature.
     ``raw_labels`` holds the stripped label cells, or is ``None`` when the
-    file has no such column (an error if ``require_label``).  Ragged rows,
-    unparseable and non-finite cells raise ``ValueError`` naming the row
-    (1-based, header excluded) and, for a cell, its column.
+    file has no such column (an error if ``require_label``, as is then an
+    empty label cell).  Ragged rows, unparseable and non-finite cells raise
+    ``ValueError`` naming the row (1-based, header excluded) and, for a
+    cell, its column.  A UTF-8 byte order mark before the header is
+    skipped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -151,7 +153,10 @@ def _read_csv(path, label_column, require_label: bool):
                             f"cannot parse {row[i]!r} as a number"
                         ) from None
             if label_idx is not None:
-                raw_labels.append(row[label_idx].strip())
+                label = row[label_idx].strip()
+                if require_label and not label:
+                    raise ValueError(f"row {row_no}: empty label in column {label_column!r}")
+                raw_labels.append(label)
 
     if not rows:
         raise ValueError(f"no data rows in {path}")
@@ -244,7 +249,9 @@ def load_csv(path, label_column: str) -> Dataset:
     One column (``label_column``) holds class labels; every other column is
     parsed as a decimal float.  String labels are mapped to ``1..L`` in
     first-appearance order, except that labels which are literally the
-    integers ``1..L`` keep their own values (identity mapping).
+    integers ``1..L`` keep their own values (identity mapping).  A label
+    cell that is empty or only whitespace raises ``ValueError`` naming its
+    row.
     """
     features, raw_labels = _read_csv(path, label_column, require_label=True)
     names = list(dict.fromkeys(raw_labels))  # first-appearance order

@@ -27,17 +27,19 @@ and shifts them by their unweighted mean.  When there are at least as
 many represented dimensions ``D'`` as samples ``N``, which is every kernel
 fit, it also keeps the shifted columns' coordinates in an orthonormal
 basis of their numerical range, ``r`` columns wide.  A kernel Gram is
-symmetric positive semidefinite, so that basis comes from the columns a
-pivoted Cholesky picks, in O(N^2 r) (105 to 108 of 660 on an rbf kernel
-fit); any other wide matrix is factored by a column-pivoted QR, O(N^3).
+symmetric positive semidefinite, so that basis is the compact-WY QR of the
+columns a pivoted Cholesky picks, in O(N^2 r) (105 to 108 of 660 on an rbf
+kernel fit); any other wide matrix is factored by a column-pivoted QR,
+O(N^3).
 Every round's weight update reads that one prepared value and has one
 form: it factors one ``r x r`` system per class (``r = D'`` when
 ``D' < N``), built from raw weighted moments of the coordinates and
 centered by one rank-1 update, by Cholesky through LAPACK's ``dpotrf`` and
 ``dpotrs``; every class's weighted mean and right-hand side come from one
 product each, and when ``D' >= N`` one more maps the solutions back to the
-weights.  A kernel fit thus costs one reduction, O(N^2 r), then
-O(L r^2 N) per round.
+weights.  ``train`` then scores the round from the same coordinates,
+O(r N L), rather than from the ``N x N`` Gram.  A kernel fit thus costs
+one reduction, O(N^2 r), then O(L r^2 N) per round.
 
 Training is deterministic: the per-class ridge solves are independent and
 run one after another, and reruns with the same BLAS thread count give
@@ -53,8 +55,8 @@ within a round left one pool's idle workers taking the CPUs from the
 other's busy ones, which made kernel training at two threads about twice
 as slow as at one.
 Each product still uses the BLAS threads (``OPENBLAS_NUM_THREADS``), and a
-different thread count can move the last bits of the parameters (a few
-1e-14 of the largest weight on a 660-anchor kernel model).
+different thread count can move the last bits of the parameters (about
+2e-13 of the largest weight on a 660-anchor kernel model).
 Trained models are immutable and safe to share across threads.
 """
 
@@ -68,7 +70,7 @@ import numpy as np
 # Kept at module level: deferred into m_step, its ~0.25 s import would land
 # inside the first train() call instead of at `import correntia`.
 from scipy.linalg.blas import dgemm, dgemv, dsyr, dsyrk
-from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr, dpotrf, dpotrs, dpstrf
+from scipy.linalg.lapack import dgemqrt, dgeqp3, dgeqrt, dorgqr, dpotrf, dpotrs, dpstrf
 
 from .correntropy import SigmaPolicy, g_sigma, objective, sigma_heuristic
 from .dataset import Dataset, label_indicator
@@ -265,9 +267,11 @@ def prepare_columns(represented: np.ndarray) -> PreparedColumns:
     * an exactly symmetric ``represented`` (every kernel Gram) is given to
       a pivoted Cholesky (LAPACK's ``dpstrf``, stopping at its default
       ``N eps`` times the largest diagonal entry), and the basis is the QR
-      (``dgeqrf``, ``dorgqr``) of the ``r`` columns it picks, which hold
-      the shifted ones too; the coordinates are ``basis^T`` times the
-      shifted columns.  This is kept when no shifted column lies farther
+      of the ``r`` columns it picks, which hold the shifted ones too: a
+      compact-WY QR (``dgeqrt``, in blocks of up to 32 columns, mostly
+      level-3 BLAS), whose ``Q`` is applied to the first ``r`` columns of
+      the identity (``dgemqrt``); the coordinates are ``basis^T`` times
+      the shifted columns.  This is kept when no shifted column lies farther
       from the basis than ``max(D', N) eps`` times the largest shifted
       column norm, the same cut as the QR's below;
     * otherwise (a non-square or non-symmetric matrix, or a symmetric one
@@ -310,8 +314,10 @@ def _symmetric_range(gram: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np
     if rank == 0:
         return None
     picked = np.asfortranarray(gram[:, pivots[:rank] - 1])
-    qr, tau = dgeqrf(picked, lwork=int(dgeqrf(picked, lwork=-1)[2][0]), overwrite_a=1)[:2]
-    basis = dorgqr(qr, tau, lwork=int(dorgqr(qr, tau, lwork=-1)[1][0]), overwrite_a=1)[0]
+    # compact-WY QR (blocked reflectors, mostly level-3 BLAS), then Q applied
+    # to the first r columns of the identity
+    qr, blocks = dgeqrt(min(32, rank), picked, overwrite_a=1)[:2]
+    basis = dgemqrt(qr, blocks, np.eye(n, rank, order="F"), overwrite_c=1)[0]
     shifted = gram - mean[:, None]
     coords = dgemm(1.0, basis, shifted, trans_a=1)
     # the residual is written over the shifted columns: no second N x N array
@@ -376,9 +382,10 @@ def m_step(
     arithmetic), which keeps a down-weighted class's weights at their true,
     tiny size.  When ``D' >= N``, one more ``dgemm`` maps every class's
     solution ``v`` back to ``w = basis v``; the bias reads the offset in the
-    same coordinates.  The directions below the cut are dropped, which
-    moves ``w`` by about the cut over the ridge: 4e-13 to 8e-13 of the
-    largest weight on an rbf kernel fit of 660 samples.
+    same coordinates, and the returned pair also carries ``v``, from which
+    ``train`` scores the round.  The directions below the cut are dropped,
+    which moves ``w`` by about the cut over the ridge: 3e-13 to 5e-13 of
+    the largest weight on an rbf kernel fit of 660 samples.
 
     With ``alpha > 0`` each system is symmetric positive definite in exact
     arithmetic and solved by Cholesky, calling LAPACK's ``dpotrf`` and
@@ -495,7 +502,22 @@ def m_step(
         biases[l] = y_means[l] - w @ x_means[:, l]
     if basis is not None:  # w = basis v, written C-ordered into weights
         dgemm(1.0, basis, solutions.T, c=weights.T, overwrite_c=1)
-    return weights, biases
+    return _WeightUpdate(weights, biases, None if basis is None else solutions)
+
+
+class _WeightUpdate(tuple):
+    """``(weights, biases)``, as :func:`m_step` returns them, that also carries
+    ``solutions``: every class's solution ``v`` in the prepared coordinates
+    (``w = basis v``, shape ``L x r``) when ``D' >= N``, else ``None``.
+
+    ``train`` scores each round from ``solutions``, so a round's weight
+    update stays one ``m_step`` call; any other caller sees a plain pair.
+    """
+
+    def __new__(cls, weights, biases, solutions):
+        update = super().__new__(cls, (weights, biases))
+        update.solutions = solutions
+        return update
 
 
 def _ridge_solve(system: np.ndarray, rhs: np.ndarray, alpha: float, l: int) -> np.ndarray:
@@ -550,14 +572,22 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[Model, TrainTrace]:
     columns = prepare_columns(represented)  # shared by every round (see m_step)
 
     for _ in range(cfg.max_iters):
-        weights, biases = m_step(aux, represented, indicator, ridge, columns=columns)
+        update = m_step(aux, represented, indicator, ridge, columns=columns)
+        weights, biases = update
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
             raise FloatingPointError(
                 "non-finite parameters in the weight update; "
                 "alpha is likely too small for near-singular data"
             )
-        # weights @ represented, as the transpose of an F-ordered N x L product
-        scores = dgemm(1.0, represented, weights.T, trans_a=1).T + biases[:, None]
+        if columns.basis is None:
+            # weights @ represented, as the transpose of an F-ordered N x L product
+            scores = dgemm(1.0, represented, weights.T, trans_a=1).T + biases[:, None]
+        else:
+            # the same scores from the r coordinates, O(r N L): w = basis v, so
+            # w x_i + b = v c_i + (v offset + b), less the dropped directions
+            v = update.solutions
+            shift = dgemv(1.0, v.T, columns.offset, trans=1) + biases
+            scores = dgemm(1.0, columns.coords, v.T, trans_a=1).T + shift[:, None]
         if policy.mode == "adaptive":
             sigma = sigma_heuristic(scores, indicator, policy.floor)
         aux = e_step(scores, indicator, sigma)

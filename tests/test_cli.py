@@ -238,6 +238,15 @@ class TestErrors:
         assert "leading minor" not in err
         assert not (tmp_path / "m.json").exists()
 
+    def test_empty_label_is_one_line_error(self, tmp_path, capsys):
+        data = tmp_path / "blank.csv"
+        data.write_text("f1,f2,label\n1,2,a\n2,3,b\n3,1,\n4,4,a\n0,1,b\n")
+        code = run_cli(["train", "--data", data, "--label-col", "label", "--method", "square",
+                        "--model-out", tmp_path / "m.json"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: row 3: empty label in column 'label'\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_negative_alpha_is_one_line_error(self, tmp_path, blob_csv, capsys):
         code = run_cli(["train", "--data", blob_csv, "--label-col", "label", "--method", "square",
                         "--model-out", tmp_path / "m.json", "--alpha", "-1"])

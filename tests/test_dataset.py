@@ -95,6 +95,28 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(path, "cls")
 
+    @pytest.mark.parametrize("cell", ["", "  "])
+    def test_empty_label_names_its_row(self, tmp_path, cell):
+        # a blank label is an error, as a blank feature cell is, not a class
+        # named ""; load_features still ignores the column
+        path = tmp_path / "d.csv"
+        path.write_text(f"f1,f2,label\n1,2,a\n2,3,b\n3,1,{cell}\n4,4,a\n0,1,b\n")
+        with pytest.raises(ValueError, match="^row 3: empty label in column 'label'$"):
+            load_csv(path, "label")
+        assert load_features(path, "label").tolist() == [[1, 2], [2, 3], [3, 1], [4, 4], [0, 1]]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM, which must not
+        # become part of the first header name
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbflabel,f1\na,1.0\nb,2.0\na,3.0\n")
+        ds = load_csv(path, "label")
+        assert ds.labels.tolist() == [1, 2, 1] and ds.label_names == ("a", "b")
+        assert ds.features[:, 0].tolist() == [1.0, 2.0, 3.0]
+        assert load_features(path, "label").tolist() == [[1.0], [2.0], [3.0]]
+        path.write_bytes(b"\xef\xbb\xbff1,f2\n1.0,2.0\n")
+        assert load_features(path, "label").tolist() == [[1.0, 2.0]]
+
 
 class TestLoadFeatures:
     def test_skips_label_column_when_present(self, tmp_path):

@@ -556,15 +556,18 @@ class TestMStep:
         np.testing.assert_allclose(columns.offset, basis.T @ mean, rtol=1e-14)
 
     def test_symmetric_gram_keeps_a_range_within_the_cut(self, monkeypatch):
-        # an rbf Gram is reduced on the columns a pivoted Cholesky picks, with
-        # no pivoted QR; every shifted column is kept to within the QR's cut,
-        # max(D', N) eps times the largest shifted column norm
-        counts = count_calls(monkeypatch, "dpstrf", "dgeqrf", "dorgqr", "dgeqp3")
+        # an rbf Gram is reduced on the columns a pivoted Cholesky picks, whose
+        # basis is one compact-WY QR (dgeqrt, then dgemqrt on the identity's
+        # first r columns), with no pivoted QR; every shifted column is kept
+        # to within the QR's cut, max(D', N) eps times the largest shifted
+        # column norm
+        assert "dgeqrf" not in vars(regmaxcem)
+        counts = count_calls(monkeypatch, "dpstrf", "dgeqrt", "dgemqrt", "dorgqr", "dgeqp3")
         points = np.random.default_rng(23).standard_normal((200, 2))
         rep = kernel_representation(points, KernelSpec("rbf", 1.0))
         gram = represent_matrix(points, rep).T
         columns = regmaxcem.prepare_columns(gram)
-        assert counts == {"dpstrf": 1, "dgeqrf": 1, "dorgqr": 1, "dgeqp3": 0}
+        assert counts == {"dpstrf": 1, "dgeqrt": 1, "dgemqrt": 1, "dorgqr": 0, "dgeqp3": 0}
         basis, coords, mean = columns.basis, columns.coords, gram.mean(axis=1)
         rank = len(coords)
         assert rank < 200 and basis.shape == (200, rank) and coords.shape == (rank, 200)
@@ -777,25 +780,62 @@ class TestTrain:
     def test_kernel_fit_builds_one_gram(self, monkeypatch):
         # a kernel Gram is symmetric: its range is found once per fit from the
         # columns a pivoted Cholesky picks, and each class of each round
-        # solves on the shifted columns' r coordinates
-        names = ("dgemm", "dgemv", "dsyrk", "dsyr", "dpstrf", "dgeqrf", "dorgqr", "dgeqp3")
+        # solves on the shifted columns' r coordinates, which also score it
+        names = (
+            "dgemm", "dgemv", "dsyrk", "dsyr", "dpstrf", "dgeqrt", "dgemqrt", "dorgqr", "dgeqp3",
+        )
         counts = count_calls(monkeypatch, *names)
         ds = two_blob_dataset(seed=8)
         rep = kernel_representation(ds.features, KernelSpec("rbf", 1.0))
         cfg = TrainConfig(max_iters=3, tol=0.0, representation=rep)
         train(ds, cfg)
-        # per fit: the pivots, a QR of the picked columns and its basis, two
-        # dgemm for the coordinates and the residual, one dgemv for the
-        # offset's coordinates, and no pivoted QR; per round: class means,
-        # right-hand sides, the map back to the weights and scores by dgemm;
-        # per class, one dsyrk and one dsyr
+        # per fit: the pivots, a compact-WY QR of the picked columns and its
+        # basis, two dgemm for the coordinates and the residual, one dgemv
+        # for the offset's coordinates, and no pivoted QR; per round: class
+        # means, right-hand sides, the map back to the weights and the scores
+        # from the coordinates by dgemm, and the scores' shift v offset by
+        # dgemv; per class, one dsyrk and one dsyr
         expected = {
-            "dgemm": 14, "dgemv": 1, "dsyrk": 6, "dsyr": 6,
-            "dpstrf": 1, "dgeqrf": 1, "dorgqr": 1, "dgeqp3": 0,
+            "dgemm": 14, "dgemv": 4, "dsyrk": 6, "dsyr": 6,
+            "dpstrf": 1, "dgeqrt": 1, "dgemqrt": 1, "dorgqr": 0, "dgeqp3": 0,
         }
         assert counts == expected
         train(ds, cfg)
         assert counts == {name: 2 * count for name, count in expected.items()}
+
+    def test_kernel_rounds_score_from_the_coordinates(self, monkeypatch):
+        # every kernel round scores v c_i + (v offset + b) on the r x N
+        # coordinates; that equals w x_i + b on the N x N Gram to within
+        # 1e-12 of the largest score, on an orthonormal basis
+        updates, scored = [], []
+        real_m_step, real_e_step = regmaxcem.m_step, regmaxcem.e_step
+
+        def recording_m_step(*args, **kwargs):
+            updates.append(real_m_step(*args, **kwargs))
+            return updates[-1]
+
+        def recording_e_step(scores, indicator, sigma):
+            scored.append(scores)
+            return real_e_step(scores, indicator, sigma)
+
+        monkeypatch.setattr(regmaxcem, "m_step", recording_m_step)
+        monkeypatch.setattr(regmaxcem, "e_step", recording_e_step)
+        rng = np.random.default_rng(25)
+        angles = 2.0 * np.pi * np.arange(3) / 3
+        means = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        features = np.repeat(means, 60, axis=0) + rng.standard_normal((180, 2))
+        ds = Dataset(features, np.repeat([1, 2, 3], 60), 3)
+        rep = kernel_representation(ds.features, KernelSpec("rbf", 1.0))
+        train(ds, TrainConfig(max_iters=5, tol=0.0, representation=rep))
+        gram = represent_matrix(ds.features, rep).T
+        basis = regmaxcem.prepare_columns(gram).basis
+        rank = basis.shape[1]
+        assert rank < 180
+        np.testing.assert_allclose(basis.T @ basis, np.eye(rank), rtol=0, atol=1e-14)
+        assert len(updates) == len(scored) == 5
+        for (weights, biases), scores in zip(updates, scored):
+            expected = weights @ gram + biases[:, None]
+            assert np.abs(scores - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_no_matrix_product_runs_on_numpy(self):
         # Every N x N (or D' x D') product goes through scipy's BLAS; numpy's
@@ -818,7 +858,7 @@ class TestTrain:
     def test_logistic_newton_steps_share_scipy_blas_and_one_gram(self, monkeypatch):
         # the logistic baseline's scores and gradients run on scipy's BLAS too,
         # and its kernel Newton steps solve on one range per fit, from one
-        # pivoted Cholesky and no pivoted QR
+        # pivoted Cholesky, one compact-WY QR and no pivoted QR
         tree = ast.parse(inspect.getsource(baselines.train_logistic))
         numpy_products = {"dot", "matmul", "einsum", "inner", "outer", "tensordot", "vdot"}
         assert not [
@@ -827,11 +867,11 @@ class TestTrain:
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
             or isinstance(node, ast.Attribute) and node.attr in numpy_products
         ]
-        counts = count_calls(monkeypatch, "dpstrf", "dgeqrf", "dorgqr", "dgeqp3")
+        counts = count_calls(monkeypatch, "dpstrf", "dgeqrt", "dgemqrt", "dorgqr", "dgeqp3")
         ds = two_blob_dataset(seed=8)
         rep = kernel_representation(ds.features, KernelSpec("rbf", 1.0))
         baselines.train_logistic(ds, rep, BaselineConfig(max_iters=20, tol=0.0))
-        assert counts == {"dpstrf": 1, "dgeqrf": 1, "dorgqr": 1, "dgeqp3": 0}
+        assert counts == {"dpstrf": 1, "dgeqrt": 1, "dgemqrt": 1, "dorgqr": 0, "dgeqp3": 0}
 
 
 class TestEvaluateObjective:
