@@ -10,12 +10,14 @@ training objective.
 
 The hinge and logistic trainers take damped Newton steps, each a weighted
 ridge solve by the same :func:`m_step` that the square and correntropy
-trainers use, on columns prepared once per fit (in kernel mode reduced
-once to the range of the Gram's columns that a pivoted Cholesky picks;
-see :func:`~correntia.regmaxcem.prepare_columns`).  The hinge trainer
-minimizes the squared hinge (the L2-SVM), whose Newton step is exact on
-the current active set; the logistic trainer is iteratively reweighted
-least squares.  No trainer takes a step size.
+trainers use.  The hinge trainer minimizes the squared hinge (the
+L2-SVM), whose Newton step is exact on the current active set; the
+logistic trainer is iteratively reweighted least squares.  No trainer
+takes a step size.  Each public trainer prepares the represented columns
+once (:func:`~correntia.regmaxcem.prepare_columns`) for a private core
+taking ``(columns, indicator, cfg)``, whose weight updates and scores all
+read them; the experiment harness calls the cores with each split's
+columns, prepared once for every method and rate.
 """
 
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ from .kernels import Representation, represent_matrix
 from .regmaxcem import (
     DegenerateClassError,
     Model,
+    PreparedColumns,
     _check_alpha,
     _check_max_iters,
     m_step,
@@ -64,13 +67,14 @@ _HALVINGS = 30
 
 
 def _assemble(weights, biases, rep, ds) -> Model:
-    return Model(
-        weights=weights,
-        biases=biases,
-        representation=rep,
-        sigma_final=1.0,  # baselines have no kernel width; placeholder metadata
-        class_map=ds.label_names,
-    )
+    # baselines have no kernel width: sigma_final is placeholder metadata
+    return Model(weights, biases, rep, 1.0, ds.label_names)
+
+
+def _prepared(ds: Dataset, rep: Representation) -> tuple[PreparedColumns, np.ndarray]:
+    """The prepared represented columns of ``ds`` (``D' x N``) and its indicator targets."""
+    columns = prepare_columns(represent_matrix(ds.features, rep).T)
+    return columns, label_indicator(ds.labels, ds.num_classes)
 
 
 def train_square(ds: Dataset, rep: Representation, alpha: float) -> Model:
@@ -80,11 +84,12 @@ def train_square(ds: Dataset, rep: Representation, alpha: float) -> Model:
     exactly; identical to one uniform-weight step of the correntropy
     trainer with the same alpha.
     """
-    represented = represent_matrix(ds.features, rep).T
-    indicator = label_indicator(ds.labels, ds.num_classes)
-    uniform = -np.ones_like(indicator)
-    weights, biases = m_step(uniform, represented, indicator, alpha)
-    return _assemble(weights, biases, rep, ds)
+    return _assemble(*_train_square(*_prepared(ds, rep), alpha), rep, ds)
+
+
+def _train_square(columns: PreparedColumns, indicator: np.ndarray, alpha: float):
+    """:func:`train_square` on prepared ``columns``: ``(weights, biases)``."""
+    return m_step(-np.ones_like(indicator), columns, indicator, alpha)
 
 
 def train_hinge(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Model:
@@ -102,26 +107,28 @@ def train_hinge(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Model:
     loss falls, or after ``max_iters`` steps.  ``tol`` is unused.  Raises the
     ``FloatingPointError`` of a failed ridge solve, naming the class.
     """
-    represented = represent_matrix(ds.features, rep).T  # D' x n, as m_step takes it
-    indicator = label_indicator(ds.labels, ds.num_classes)
-    n, alpha = ds.n_samples, cfg.alpha
-    columns = prepare_columns(represented)  # one per fit, shared by every Newton step
+    return _assemble(*_train_hinge(*_prepared(ds, rep), cfg), rep, ds)
+
+
+def _train_hinge(columns: PreparedColumns, indicator: np.ndarray, cfg: BaselineConfig):
+    """:func:`train_hinge` on prepared ``columns``: ``(weights, biases)``."""
+    (num_classes, n), alpha = indicator.shape, cfg.alpha
 
     def scores_and_loss(w, b):
-        f = dgemm(1.0, w, represented) + b[:, None]
+        f = columns.scores(w, b)
         short = np.maximum(0.0, 1.0 - indicator * f)  # how far each margin falls short of 1
         return f, (short * short).sum(axis=1) / n + alpha * (w * w).sum(axis=1)
 
-    weights, biases = np.zeros((ds.num_classes, represented.shape[0])), np.zeros(ds.num_classes)
+    weights, biases = np.zeros((num_classes, columns.shape[0])), np.zeros(num_classes)
     scores, loss = scores_and_loss(weights, biases)
     active = indicator * scores < 1.0  # every sample, at the zero start
-    moving = np.ones(ds.num_classes, dtype=bool)
+    moving = np.ones(num_classes, dtype=bool)
     for _ in range(cfg.max_iters):
         trial_w, trial_b = weights.copy(), biases.copy()
         rows = np.flatnonzero(moving)
         try:
             trial_w[rows], trial_b[rows] = m_step(
-                -1.0 * active[rows], represented, indicator[rows], alpha, columns=columns
+                -1.0 * active[rows], columns, indicator[rows], alpha
             )
         except FloatingPointError as exc:  # m_step names the class by its row in this call
             row, reason = str(exc).split(": ", 1)
@@ -132,7 +139,7 @@ def train_hinge(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Model:
         moving &= fell & active.any(axis=1) & (halved | (active != stepped).any(axis=1))
         if not moving.any():
             break
-    return _assemble(weights, biases, rep, ds)
+    return weights, biases
 
 
 def _descend(scores_and_loss, weights, biases, scores, loss, trial_w, trial_b):
@@ -171,30 +178,32 @@ def train_logistic(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Mod
     ``tol * (1 + |loss|)``, or when no loss falls.
     Raises ``FloatingPointError`` naming a class separable at this ``alpha``.
     """
+    return _assemble(*_train_logistic(*_prepared(ds, rep), cfg), rep, ds)
+
+
+def _train_logistic(columns: PreparedColumns, indicator: np.ndarray, cfg: BaselineConfig):
+    """:func:`train_logistic` on prepared ``columns``: ``(weights, biases)``."""
     # Local import: scipy.special adds ~0.07 s to start-up; only this baseline uses it.
     from scipy.special import expit
 
-    represented = represent_matrix(ds.features, rep).T  # D' x n, as m_step takes it
-    indicator = label_indicator(ds.labels, ds.num_classes)
-    n, alpha = ds.n_samples, cfg.alpha
-    columns = prepare_columns(represented)  # one per fit, shared by every Newton step
+    (num_classes, n), alpha = indicator.shape, cfg.alpha
 
     def scores_and_loss(w, b):
-        f = dgemm(1.0, w, represented) + b[:, None]
+        f = columns.scores(w, b)
         return f, np.logaddexp(0.0, -indicator * f).sum(axis=1) / n + alpha * (w * w).sum(axis=1)
 
-    weights, biases = np.zeros((ds.num_classes, represented.shape[0])), np.zeros(ds.num_classes)
+    weights, biases = np.zeros((num_classes, columns.shape[0])), np.zeros(num_classes)
     scores, loss = scores_and_loss(weights, biases)
     for _ in range(cfg.max_iters):
         slope = indicator * expit(-indicator * scores)  # -n d(loss)/d(scores)
-        grad_w = 2.0 * alpha * weights - dgemm(1.0 / n, slope, represented, trans_b=1)
+        grad_w = 2.0 * alpha * weights - dgemm(1.0 / n, slope, columns.represented, trans_b=1)
         grad_sq = (grad_w * grad_w).sum(axis=1) + (slope.sum(axis=1) / n) ** 2
         if np.all(np.sqrt(grad_sq) <= cfg.tol * (1.0 + np.abs(loss))):
             break
         h = expit(scores) * expit(-scores)
         working = scores + indicator / expit(indicator * scores)
         try:
-            trial_w, trial_b = m_step(-h / 2.0, represented, working, alpha, columns=columns)
+            trial_w, trial_b = m_step(-h / 2.0, columns, working, alpha)
         except DegenerateClassError as exc:
             raise FloatingPointError(
                 f"class {exc.class_index}: separable at alpha={alpha!r}, so its logistic "
@@ -203,4 +212,4 @@ def train_logistic(ds: Dataset, rep: Representation, cfg: BaselineConfig) -> Mod
         fell, _ = _descend(scores_and_loss, weights, biases, scores, loss, trial_w, trial_b)
         if not fell.any():
             break
-    return _assemble(weights, biases, rep, ds)
+    return weights, biases

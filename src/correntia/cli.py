@@ -28,7 +28,8 @@ from .harness import (
     select_alpha_by_cv,
     train_method,
 )
-from .regmaxcem import TraceRecord, load_model, save_model, score_matrix, train
+from .kernels import represent_matrix
+from .regmaxcem import TraceRecord, load_model, prepare_columns, save_model, score_matrix, train
 
 __all__ = ["main"]
 
@@ -150,7 +151,7 @@ def _cmd_train(args) -> int:
                   [range(1, len(trace.records) + 1),
                    *([getattr(record, name) for record in trace.records] for name in names)])
     else:
-        model = train_method(method, ds, rep)
+        model = train_method(method, ds, rep, prepare_columns(represent_matrix(ds.features, rep).T))
     save_model(model, args.model_out)
     print(f"model written to {args.model_out}")
     return 0

@@ -116,8 +116,8 @@ def _read_csv(path, label_column, require_label: bool):
     ``raw_labels`` holds the stripped label cells, or is ``None`` when the
     file has no such column (an error if ``require_label``, as is then an
     empty label cell).  Ragged rows, unparseable and non-finite cells raise
-    ``ValueError`` naming the row (1-based, header excluded) and, for a
-    cell, its column.  A UTF-8 byte order mark before the header is
+    ``ValueError`` naming the first bad row (1-based, header excluded) and,
+    for a cell, its column.  A UTF-8 byte order mark before the header is
     skipped.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
@@ -138,28 +138,37 @@ def _read_csv(path, label_column, require_label: bool):
 
         rows = []
         raw_labels = []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValueError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
-            try:
-                rows.append([float(row[i]) for i in keep])
-            except ValueError:
-                for i in keep:
-                    try:
-                        float(row[i])
-                    except ValueError:
-                        raise ValueError(
-                            f"row {row_no}, column {header[i]!r}: "
-                            f"cannot parse {row[i]!r} as a number"
-                        ) from None
-            if label_idx is not None:
-                label = row[label_idx].strip()
-                if require_label and not label:
-                    raise ValueError(f"row {row_no}: empty label in column {label_column!r}")
-                raw_labels.append(label)
+        try:
+            for row_no, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise ValueError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
+                try:
+                    rows.append([float(row[i]) for i in keep])
+                except ValueError:
+                    for i in keep:
+                        try:
+                            float(row[i])
+                        except ValueError:
+                            raise ValueError(
+                                f"row {row_no}, column {header[i]!r}: "
+                                f"cannot parse {row[i]!r} as a number"
+                            ) from None
+                if label_idx is not None:
+                    label = row[label_idx].strip()
+                    if require_label and not label:
+                        raise ValueError(f"row {row_no}: empty label in column {label_column!r}")
+                    raw_labels.append(label)
+        except ValueError:
+            _finite_features(rows, header, keep)  # a non-finite cell in an earlier row comes first
+            raise
 
     if not rows:
         raise ValueError(f"no data rows in {path}")
+    return _finite_features(rows, header, keep), None if label_idx is None else raw_labels
+
+
+def _finite_features(rows, header, keep) -> np.ndarray:
+    """``rows`` as a float array; ``ValueError`` naming the first non-finite cell."""
     features = np.array(rows, dtype=np.float64)
     finite = np.isfinite(features)
     if not finite.all():
@@ -168,7 +177,7 @@ def _read_csv(path, label_column, require_label: bool):
             f"row {row + 1}, column {header[keep[col]]!r}: "
             f"non-finite value {float(features[row, col])}"
         )
-    return features, None if label_idx is None else raw_labels
+    return features
 
 
 def write_csv(path, header, columns) -> None:

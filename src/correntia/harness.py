@@ -9,14 +9,16 @@ Each split's representation depends only on its training features, so it
 is built once, before any training, and represents both sides of the split
 once (in kernel mode, kernel evaluations against the training anchors); a
 split that cannot be represented raises.  Every cell is then a plain
-linear problem on those represented features.  The noisy training sets of
-every rate are drawn from the represented training side before any
-training, since noise depends only on the labels.  Cells run one at a
-time, method by method in config order.  :func:`_score_cell` is the one
-place a cell is trained (through :func:`train_method`) and scored, and
-:func:`_report` turns one method's cells at one rate into its report,
-recording a failing cell on that report instead of aborting the sweep.
-Reports come out rate by rate, in config order.
+linear problem on those represented features, whose training columns are
+prepared once per split (:func:`~correntia.regmaxcem.prepare_columns`)
+for every method and rate.  The noisy training sets of every rate are
+drawn from the represented training side before any training, since
+noise depends only on the labels.  Cells run one at a time, method by
+method in config order.  :func:`_score_cell` is the one place a cell is
+trained (through :func:`train_method`) and scored, and :func:`_report`
+turns one method's cells at one rate into its report, recording a failing
+cell on that report instead of aborting the sweep.  Reports come out rate
+by rate, in config order.
 """
 
 import json
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineConfig, train_hinge, train_logistic, train_square
+from .baselines import BaselineConfig, _assemble, _train_hinge, _train_logistic, _train_square
 from .correntropy import DEFAULT_SIGMA_FLOOR, SigmaPolicy
 from .dataset import (
     Dataset,
@@ -35,6 +37,7 @@ from .dataset import (
     _write_cells,
     inject_label_noise,
     kfold,
+    label_indicator,
     load_csv,
     split,
 )
@@ -57,7 +60,7 @@ from .kernels import (
     median_bandwidth,
     represent_matrix,
 )
-from .regmaxcem import TrainConfig, score_matrix, train
+from .regmaxcem import Model, PreparedColumns, TrainConfig, _train, prepare_columns, score_matrix
 from .seeding import child_seed, make_rng
 
 __all__ = [
@@ -82,6 +85,7 @@ __all__ = [
 ALPHA_GRID = tuple(float(a) for a in np.logspace(-4, 0, 9))
 
 METHOD_NAMES = ("regmaxcem", "square", "hinge", "logistic")
+Cell = tuple[Dataset, Dataset, PreparedColumns]  # one split's train and test sides, train columns
 
 
 def _is_number(value, kind) -> bool:
@@ -319,48 +323,51 @@ def build_representation(
     return kernel_representation(train_features, KernelSpec(kernel_kind))
 
 
-def train_method(method: MethodSpec, ds: Dataset, rep: Representation):
-    """Train one method on one (already noisy) training set."""
+def train_method(method: MethodSpec, ds: Dataset, rep: Representation, columns: PreparedColumns):
+    """Train one method on one (already noisy) training set, whose represented
+    columns under ``rep`` were prepared as ``columns``; only its labels are read."""
+    indicator = label_indicator(ds.labels, ds.num_classes)
     if method.name == "regmaxcem":
-        model, _ = train(ds, method.train_config(rep))
-        return model
+        weights, biases, sigma, _ = _train(columns, indicator, method.train_config(rep))
+        return Model(weights, biases, rep, sigma, ds.label_names)
     if method.name == "square":
-        return train_square(ds, rep, method.alpha)
-    trainer = train_hinge if method.name == "hinge" else train_logistic
-    return trainer(ds, rep, method.baseline_config())
+        fit = _train_square(columns, indicator, method.alpha)
+    else:
+        core = _train_hinge if method.name == "hinge" else _train_logistic
+        fit = core(columns, indicator, method.baseline_config())
+    return _assemble(*fit, rep, ds)
 
 
-def _represent_splits(
-    pairs: list[tuple[Dataset, Dataset]], representation: RepresentationSpec
-) -> list[tuple[Dataset, Dataset]]:
-    """Each ``(train, test)`` pair with both sides represented by the train side's representation.
+def _represent_splits(pairs, representation: RepresentationSpec) -> list[Cell]:
+    """Each ``(train, test)`` pair with both sides represented by the train side's
+    representation, and the train side's prepared columns.
 
     In linear mode the features are returned as they are, without a copy.
     """
     represented = []
     for train_set, test in pairs:
         rep = representation.build(train_set.features)
-        represented.append(
-            tuple(replace(d, features=represent_matrix(d.features, rep)) for d in (train_set, test))
+        train_set, test = (
+            replace(d, features=represent_matrix(d.features, rep)) for d in (train_set, test)
         )
+        represented.append((train_set, test, prepare_columns(train_set.features.T)))
     return represented
 
 
-def _score_cell(method: MethodSpec, train_set: Dataset, test: Dataset) -> tuple[np.ndarray, float]:
+def _score_cell(method: MethodSpec, train_set, test, columns) -> tuple[np.ndarray, float]:
     """Train ``method`` on one cell and score its test side: the score matrix and its accuracy.
 
-    Both sides hold their split's already represented features (see
-    :func:`_represent_splits`), so the cell fits under the linear
-    representation.  A failure in training or scoring propagates.
+    The cell holds its split's already represented features and prepared
+    training columns (see :func:`_represent_splits`), so it fits under the
+    linear representation.  A failure in training or scoring propagates.
     """
-    scores = score_matrix(train_method(method, train_set, linear_representation()), test.features)
+    model = train_method(method, train_set, linear_representation(), columns)
+    scores = score_matrix(model, test.features)
     return scores, accuracy(np.argmax(scores, axis=1) + 1, test.labels)
 
 
-def _report(
-    method: MethodSpec, rate: float, cells: list[tuple[Dataset, Dataset]], positive_class: int
-) -> EvalReport:
-    """The report of ``method`` at noise ``rate``, from its ``(train, test)`` cells, one per split.
+def _report(method: MethodSpec, rate: float, cells: list[Cell], positive_class: int) -> EvalReport:
+    """The report of ``method`` at noise ``rate``, from its cells, one per split.
 
     Each cell trains and scores through :func:`_score_cell`, in split order.
     A cell that fails is recorded in ``errors`` and the others still run.
@@ -368,9 +375,9 @@ def _report(
     per_split: list[float] = []
     pooled: list[tuple[np.ndarray, np.ndarray]] = []  # one-vs-rest (scores, truth)
     errors: list[str] = []
-    for s, (train_set, test) in enumerate(cells):
+    for s, (train_set, test, columns) in enumerate(cells):
         try:
-            scores, acc = _score_cell(method, train_set, test)
+            scores, acc = _score_cell(method, train_set, test, columns)
             per_split.append(acc)
             pooled.append(multiclass_binary_scores(scores, test.labels, positive_class))
         except Exception as exc:  # cell isolation: record, keep sweeping
@@ -408,14 +415,15 @@ def select_alpha_by_cv(
 
     Evaluates ``method`` at every alpha in ``grid`` (default nine log-spaced
     values in [1e-4, 1]) over a k-fold split of ``ds`` and returns the alpha
-    with the best mean accuracy; ties go to the smallest alpha.
+    with the best mean accuracy; ties go to the smallest alpha.  Each fold's
+    columns are prepared once for the whole grid.
     """
     pairs = _represent_splits(kfold(ds, min(folds, ds.n_samples), child_seed(seed, 3)),
                               representation)
     best_alpha, best_score = None, -np.inf
     for alpha in grid:
         candidate = replace(method, alpha=float(alpha))
-        scores = [_score_cell(candidate, tr, test)[1] for tr, test in pairs]
+        scores = [_score_cell(candidate, *cell)[1] for cell in pairs]
         mean_score = float(np.mean(scores))
         if mean_score > best_score:
             best_alpha, best_score = float(alpha), mean_score
@@ -445,12 +453,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
         folds = [split(ds, SplitSpec(protocol.fraction, seed)) for seed in seeds]
     folds = _represent_splits(folds, cfg.representation)
     # pristine test labels, used to assert noise never leaks into test data
-    test_fingerprints = [test.labels.tobytes() for _, test in folds]
+    test_fingerprints = [test.labels.tobytes() for _, test, _ in folds]
 
     # noise is seeded per (rate, split), so every method sees the same noisy sets
     cells = [
-        [(inject_label_noise(tr, rate, child_seed(cfg.seed, 2, r_idx, s)), test)
-         for s, (tr, test) in enumerate(folds)]
+        [(inject_label_noise(tr, rate, child_seed(cfg.seed, 2, r_idx, s)), test, columns)
+         for s, (tr, test, columns) in enumerate(folds)]
         for r_idx, rate in enumerate(cfg.noise_rates)
     ]
     # cells train method by method; the reports come out rate by rate
@@ -459,7 +467,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:
          for rate, rate_cells in zip(cfg.noise_rates, cells)]
         for method in cfg.methods
     ]
-    assert [test.labels.tobytes() for _, test in folds] == test_fingerprints, \
+    assert [test.labels.tobytes() for _, test, _ in folds] == test_fingerprints, \
         "test labels were mutated"
     return [report for rate_reports in zip(*by_method) for report in _attach_ttests(rate_reports)]
 

@@ -21,12 +21,12 @@ equivalent formulation used here).  The very first weight update sees the
 uniform auxiliary matrix and uses the plain ridge parameter, which makes
 it coincide with the closed-form square-loss baseline.
 
-The represented columns stay the same for a whole fit, so ``train``
-prepares them once (``prepare_columns``): it checks that they are finite
-and shifts them by their unweighted mean.  When there are at least as
-many represented dimensions ``D'`` as samples ``N``, which is every kernel
-fit, it also keeps the shifted columns' coordinates in an orthonormal
-basis of their numerical range, ``r`` columns wide.  A kernel Gram is
+The represented columns stay the same for a whole fit, and in a sweep for
+every fit on one split, so they are prepared once (``prepare_columns``):
+checked to be finite and shifted by their unweighted mean.  When there
+are at least as many represented dimensions ``D'`` as samples ``N``
+(every kernel fit), the shifted columns' coordinates are kept in an
+orthonormal basis of their numerical range, ``r`` columns wide.  A kernel Gram is
 symmetric positive semidefinite, so that basis is the compact-WY QR of the
 columns a pivoted Cholesky picks, in O(N^2 r) (105 to 108 of 660 on an rbf
 kernel fit); any other wide matrix is factored by a column-pivoted QR,
@@ -37,9 +37,10 @@ form: it factors one ``r x r`` system per class (``r = D'`` when
 centered by one rank-1 update, by Cholesky through LAPACK's ``dpotrf`` and
 ``dpotrs``; every class's weighted mean and right-hand side come from one
 product each, and when ``D' >= N`` one more maps the solutions back to the
-weights.  ``train`` then scores the round from the same coordinates,
-O(r N L), rather than from the ``N x N`` Gram.  A kernel fit thus costs
-one reduction, O(N^2 r), then O(L r^2 N) per round.
+weights.  Every trainer, here and in the baselines, scores its rounds
+from the same prepared value (``PreparedColumns.scores``): from the
+coordinates, O(r N L), rather than from the ``N x N`` Gram.  A kernel fit
+thus costs one reduction, O(N^2 r), then O(L r^2 N) per round.
 
 Training is deterministic: the per-class ridge solves are independent and
 run one after another, and reruns with the same BLAS thread count give
@@ -234,9 +235,10 @@ def e_step(scores: np.ndarray, indicator: np.ndarray, sigma: float) -> AuxMatrix
 
 @dataclass(frozen=True)
 class PreparedColumns:
-    """The represented columns of one fit in the form every ``m_step`` call reads.
+    """The represented columns of one training set, in the form every fit on them reads.
 
-    The columns, shifted by their unweighted mean, are held as ``coords``
+    ``represented`` is the checked ``D' x N`` matrix (Fortran order).  The
+    columns, shifted by their unweighted mean, are held as ``coords``
     (``r x N``, Fortran order) in the orthonormal ``basis`` (``D' x r``) of
     their numerical range, and ``offset`` is that mean in the same basis
     (length ``r``).  When ``D' < N``, ``basis`` is ``None``: the basis is the
@@ -244,22 +246,34 @@ class PreparedColumns:
     Built by :func:`prepare_columns`; the arrays are read-only.
     """
 
+    represented: np.ndarray
     offset: np.ndarray
     coords: np.ndarray
     basis: np.ndarray | None
 
     @property
     def shape(self) -> tuple[int, int]:
-        """``(D', N)``, the shape of the represented matrix these were prepared from."""
-        coords, basis = self.coords, self.basis
-        return (len(coords) if basis is None else len(basis), coords.shape[1])
+        """``(D', N)``, the shape of ``represented``."""
+        return self.represented.shape
+
+    def scores(self, weights: np.ndarray, biases: np.ndarray) -> np.ndarray:
+        """The ``L x N`` scores ``weights @ represented + biases[:, None]``; when ``D' >= N``
+        from the ``r`` coordinates, O(r N L): with ``v = weights basis``, ``w x_i + b =
+        v c_i + (v offset + b)``, less the directions below the rank cut."""
+        if self.basis is None:
+            # weights @ represented, as the transpose of an F-ordered N x L product
+            return dgemm(1.0, self.represented, weights.T, trans_a=1).T + biases[:, None]
+        v_t = dgemm(1.0, self.basis, weights.T, trans_a=1)  # r x L
+        shift = dgemv(1.0, v_t, self.offset, trans=1) + biases
+        return dgemm(1.0, self.coords, v_t, trans_a=1).T + shift[:, None]
 
 
 def prepare_columns(represented: np.ndarray) -> PreparedColumns:
     """Check and shift the columns of ``represented`` once, and reduce them when ``D' >= N``.
 
-    ``train`` and the hinge and logistic baselines call this once per fit
-    and hand the result to every round's ``m_step``.  The shifted columns
+    Every fit reads its columns through this value; the harness prepares
+    each split once for all its fits.  The checked matrix is kept as a
+    read-only view, never the caller's own array.  The shifted columns
     are Fortran ordered for every caller: BLAS rounds differently per
     layout, and ``dsyrk`` reads them in place.  When ``D' >= N`` they are
     reduced once to an orthonormal basis of their numerical range:
@@ -295,10 +309,11 @@ def prepare_columns(represented: np.ndarray) -> PreparedColumns:
         reduced = _symmetric_range(represented, offset)
         basis, coords = reduced or _numerical_range(represented - offset[:, None])
         offset = dgemv(1.0, basis, offset, trans=1)
-    for array in (offset, coords, basis):
+    represented = represented.view()
+    for array in (represented, offset, coords, basis):
         if array is not None:
             array.setflags(write=False)
-    return PreparedColumns(offset, coords, basis)
+    return PreparedColumns(represented, offset, coords, basis)
 
 
 def _symmetric_range(gram: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -349,14 +364,7 @@ def _numerical_range(shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return basis, coords
 
 
-def m_step(
-    aux: AuxMatrix,
-    represented: np.ndarray,
-    indicator: np.ndarray,
-    alpha: float,
-    *,
-    columns: PreparedColumns | None = None,
-):
+def m_step(aux: AuxMatrix, represented, indicator: np.ndarray, alpha: float):
     """Per-class weighted ridge solve given auxiliary weights.
 
     For every class ``l``, with ``u_i^2 = -aux[l, i] / N``, returns the
@@ -382,8 +390,7 @@ def m_step(
     arithmetic), which keeps a down-weighted class's weights at their true,
     tiny size.  When ``D' >= N``, one more ``dgemm`` maps every class's
     solution ``v`` back to ``w = basis v``; the bias reads the offset in the
-    same coordinates, and the returned pair also carries ``v``, from which
-    ``train`` scores the round.  The directions below the cut are dropped,
+    same coordinates.  The directions below the cut are dropped,
     which moves ``w`` by about the cut over the ridge: 3e-13 to 5e-13 of
     the largest weight on an rbf kernel fit of 660 samples.
 
@@ -400,19 +407,15 @@ def m_step(
         Auxiliary matrix with finite entries <= 0 (in [-1, 0) from ``e_step``;
         -1 on the active set, else 0, in the hinge baseline; minus half the
         Newton weights in the logistic baseline).
-    represented : ndarray of shape (D', N)
-        Represented training samples, one column per sample.
+    represented : ndarray of shape (D', N), or its PreparedColumns
+        Represented training samples, one column per sample; an array is
+        prepared here (:func:`prepare_columns`), a fit prepares them once.
     indicator : ndarray of shape (L, N)
         Finite regression targets: the +-1 indicator targets here and in the
         square and hinge baselines, the working responses in the logistic
         baseline.
     alpha : float
         Ridge parameter (finite, >= 0).
-    columns : PreparedColumns, optional
-        ``prepare_columns(represented)``; built here when omitted, so a lone
-        call checks, shifts and (when ``D' >= N``) factors ``represented``
-        itself.  ``train`` and the hinge and logistic baselines build it once
-        per fit; given, ``represented`` is only checked against its shape.
 
     Returns
     -------
@@ -433,17 +436,14 @@ def m_step(
         (finite features too large to square); the class is named.
     """
     aux = np.asarray(aux, dtype=np.float64)
-    represented = np.asarray(represented, dtype=np.float64)
+    if not isinstance(represented, PreparedColumns):
+        represented = np.asarray(represented, dtype=np.float64)
     indicator = np.asarray(indicator, dtype=np.float64)
     num_classes, n = indicator.shape
     if aux.shape != indicator.shape:
         raise ValueError(f"aux shape {aux.shape} does not match indicator shape {indicator.shape}")
     if represented.shape[1] != n:
         raise ValueError(f"represented has {represented.shape[1]} columns, expected {n}")
-    if columns is not None and columns.shape != represented.shape:
-        raise ValueError(
-            f"columns were prepared for shape {columns.shape}, expected {represented.shape}"
-        )
     _check_alpha(alpha)
     for name, value in (("aux", aux), ("indicator", indicator)):
         if not np.all(np.isfinite(value)):
@@ -465,9 +465,9 @@ def m_step(
     # from a process's second kernel fit on.
     weights = np.empty((num_classes, dim))
     biases = np.empty(num_classes)
-    if columns is None:
-        columns = prepare_columns(represented)
-    offset, coords, basis = columns.offset, columns.coords, columns.basis
+    if not isinstance(represented, PreparedColumns):
+        represented = prepare_columns(represented)
+    offset, coords, basis = represented.offset, represented.coords, represented.basis
     # Weighted means of the coordinates, built C-ordered (r x L): the bias
     # dot below then reads the columns of x_means with a stride, and a
     # contiguous read would round the biases differently.
@@ -502,22 +502,7 @@ def m_step(
         biases[l] = y_means[l] - w @ x_means[:, l]
     if basis is not None:  # w = basis v, written C-ordered into weights
         dgemm(1.0, basis, solutions.T, c=weights.T, overwrite_c=1)
-    return _WeightUpdate(weights, biases, None if basis is None else solutions)
-
-
-class _WeightUpdate(tuple):
-    """``(weights, biases)``, as :func:`m_step` returns them, that also carries
-    ``solutions``: every class's solution ``v`` in the prepared coordinates
-    (``w = basis v``, shape ``L x r``) when ``D' >= N``, else ``None``.
-
-    ``train`` scores each round from ``solutions``, so a round's weight
-    update stays one ``m_step`` call; any other caller sees a plain pair.
-    """
-
-    def __new__(cls, weights, biases, solutions):
-        update = super().__new__(cls, (weights, biases))
-        update.solutions = solutions
-        return update
+    return weights, biases
 
 
 def _ridge_solve(system: np.ndarray, rhs: np.ndarray, alpha: float, l: int) -> np.ndarray:
@@ -558,36 +543,30 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[Model, TrainTrace]:
     drops below ``tol``.
     """
     rep = cfg.representation
-    represented = represent_matrix(ds.features, rep).T  # D' x N
-    indicator = label_indicator(ds.labels, ds.num_classes)
-    n = ds.n_samples
+    columns = prepare_columns(represent_matrix(ds.features, rep).T)  # D' x N
+    weights, biases, sigma, trace = _train(columns, label_indicator(ds.labels, ds.num_classes), cfg)
+    return Model(weights, biases, rep, sigma, ds.label_names), trace
 
+
+def _train(columns: PreparedColumns, indicator: np.ndarray, cfg: TrainConfig):
+    """The rounds of :func:`train` on prepared ``columns``, whatever ``cfg.representation``
+    says: ``(weights, biases, sigma_final, trace)``."""
     policy = cfg.sigma_policy
     sigma = policy.sigma if policy.mode == "fixed" else None
-    aux = -np.ones((ds.num_classes, n))
+    aux = -np.ones(indicator.shape)
     ridge = cfg.alpha  # plain on the uniform first round, 2 sigma^2 alpha afterwards
-    prev_w = np.zeros((ds.num_classes, represented.shape[0]))
-    prev_b = np.zeros(ds.num_classes)
+    prev_w = np.zeros((len(indicator), columns.shape[0]))
+    prev_b = np.zeros(len(indicator))
     records = []
-    columns = prepare_columns(represented)  # shared by every round (see m_step)
 
     for _ in range(cfg.max_iters):
-        update = m_step(aux, represented, indicator, ridge, columns=columns)
-        weights, biases = update
+        weights, biases = m_step(aux, columns, indicator, ridge)
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
             raise FloatingPointError(
                 "non-finite parameters in the weight update; "
                 "alpha is likely too small for near-singular data"
             )
-        if columns.basis is None:
-            # weights @ represented, as the transpose of an F-ordered N x L product
-            scores = dgemm(1.0, represented, weights.T, trans_a=1).T + biases[:, None]
-        else:
-            # the same scores from the r coordinates, O(r N L): w = basis v, so
-            # w x_i + b = v c_i + (v offset + b), less the dropped directions
-            v = update.solutions
-            shift = dgemv(1.0, v.T, columns.offset, trans=1) + biases
-            scores = dgemm(1.0, columns.coords, v.T, trans_a=1).T + shift[:, None]
+        scores = columns.scores(weights, biases)
         if policy.mode == "adaptive":
             sigma = sigma_heuristic(scores, indicator, policy.floor)
         aux = e_step(scores, indicator, sigma)
@@ -603,15 +582,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[Model, TrainTrace]:
         prev_w, prev_b = weights, biases
         if delta < cfg.tol:
             break
-
-    model = Model(
-        weights=prev_w,
-        biases=prev_b,
-        representation=rep,
-        sigma_final=float(sigma),
-        class_map=ds.label_names,
-    )
-    return model, TrainTrace(tuple(records))
+    return prev_w, prev_b, float(sigma), TrainTrace(tuple(records))
 
 
 def score_matrix(model: Model, X) -> np.ndarray:

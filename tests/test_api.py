@@ -84,7 +84,8 @@ def test_benchmark_traced_pass_runs(tmp_path):
     assert correntia.regmaxcem.train is original
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["harness.run_experiment.calls"] == 1
-    assert metrics["regmaxcem.train.calls"] == 3  # one lone fit, one per fold
+    assert metrics["regmaxcem.train.calls"] == 1  # the lone fit; cells train through the cores
+    assert metrics["harness.train_method.calls"] == 4  # one per method per fold
     assert metrics["regmaxcem.m_step.gflop"] > 0
     assert metrics["kernels.gram.calls"] == 4  # each fold's train and test side once
     assert metrics["kernels.gram.entries"] == 2 * (10 * 10 + 10 * 10)

@@ -105,6 +105,18 @@ class TestLoadCsv:
             load_csv(path, "label")
         assert load_features(path, "label").tolist() == [[1, 2], [2, 3], [3, 1], [4, 4], [0, 1]]
 
+    @pytest.mark.parametrize(
+        "later_row",
+        ["3,", "x,c", "3,c,extra"],
+        ids=["empty-label", "unparseable-cell", "ragged-row"],
+    )
+    def test_first_bad_row_is_named(self, tmp_path, later_row):
+        # a non-finite cell in row 2 is reported before any error of row 3
+        path = tmp_path / "d.csv"
+        path.write_text(f"f1,label\n1,a\ninf,b\n{later_row}\n")
+        with pytest.raises(ValueError, match="^row 2, column 'f1': non-finite value inf$"):
+            load_csv(path, "label")
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # Excel's "CSV UTF-8" starts the file with a BOM, which must not
         # become part of the first header name

@@ -236,6 +236,7 @@ class TestRunExperiment:
         scores = count_calls(monkeypatch, regmaxcem, "score_matrix")
         builds = count_calls(monkeypatch, harness, "build_representation")
         grams = count_calls(monkeypatch, kernels, "gram")
+        prepared = count_calls(monkeypatch, regmaxcem, "prepare_columns")
         cfg = blob_config(
             methods=(MethodSpec("regmaxcem"), MethodSpec("square"), MethodSpec("hinge", iters=50)),
             protocol=ProtocolSpec("kfold", k=3),
@@ -249,6 +250,8 @@ class TestRunExperiment:
         assert len(builds) == 3
         # each split's train and test features are represented once, by 2 kernel evaluations
         assert len(grams) == 6
+        # and each split's training columns are prepared (the Gram reduced) once for its 6 cells
+        assert len(prepared) == 3
         # every cell of every method trains on its own
         assert len(trained) == 18
         assert [args[0].name for args in trained] == ["regmaxcem"] * 6 + ["square"] * 6 + ["hinge"] * 6
@@ -303,11 +306,16 @@ class TestSelectAlphaByCv:
     def test_one_representation_per_fold(self, monkeypatch):
         builds = count_calls(monkeypatch, harness, "build_representation")
         grams = count_calls(monkeypatch, kernels, "gram")
+        prepared = count_calls(monkeypatch, regmaxcem, "prepare_columns")
+        trained = count_calls(monkeypatch, harness, "train_method")
         ds = generate_synthetic(SyntheticSpec(((2.0, 0.0), (-2.0, 0.0)), 1.0, 25, seed=4))
-        select_alpha_by_cv(MethodSpec("square"), ds, RepresentationSpec("kernel"), folds=5)
+        select_alpha_by_cv(MethodSpec("hinge"), ds, RepresentationSpec("kernel"), folds=5)
         assert len(builds) == 5
         # each fold's train and test features once, not once per alpha
         assert len(grams) == 10
+        # each fold's training columns are prepared once for the 9-value grid's 45 fits
+        assert len(prepared) == 5
+        assert len(trained) == 5 * len(ALPHA_GRID) == 45
 
     def test_fold_training_failure_propagates(self):
         # a fixed sigma of 1e-8 underflows every auxiliary weight after round 1

@@ -522,26 +522,29 @@ class TestMStep:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05])
     def test_precomputed_gram_changes_nothing(self, alpha):
-        # columns prepared once per fit, reduced to their numerical range when
-        # D' >= N, give the bits that m_step gets by preparing them itself
+        # columns prepared once, reduced to their numerical range when D' >= N,
+        # give the bits that m_step gets by preparing the array itself; the
+        # prepared arrays are read-only, and the caller's array stays writeable
         rng = np.random.default_rng(18)
         for dim in (5, 30):
-            represented = rng.standard_normal((dim, 20)) + 3.0
+            # Fortran order, so that the prepared matrix is a view of this one
+            represented = np.asfortranarray(rng.standard_normal((dim, 20)) + 3.0)
             aux, indicator = random_aux_and_indicator(rng, 3, 20)
-            represented.setflags(write=False)
             columns = regmaxcem.prepare_columns(represented)
             assert (columns.basis is None) == (dim < 20)
             assert columns.shape == (dim, 20)
-            for a in (columns.offset, columns.coords, columns.basis):
-                assert a is None or not a.flags.writeable  # shared by every round of a fit
-            given = m_step(aux, represented, indicator, alpha, columns=columns)
+            assert columns.represented is not represented and represented.flags.writeable
+            np.testing.assert_array_equal(columns.represented, represented)
+            for a in (columns.represented, columns.offset, columns.coords, columns.basis):
+                assert a is None or not a.flags.writeable  # shared by every fit on them
+            given = m_step(aux, columns, indicator, alpha)
             built = m_step(aux, represented, indicator, alpha)
+            assert type(given) is type(built) is tuple
             for a, b in zip(given, built):
                 np.testing.assert_array_equal(a, b)
             other = regmaxcem.prepare_columns(represented[:, 1:])
-            message = rf"columns were prepared for shape \({dim}, 19\), expected \({dim}, 20\)"
-            with pytest.raises(ValueError, match=message):
-                m_step(aux, represented, indicator, alpha, columns=other)
+            with pytest.raises(ValueError, match="^represented has 19 columns, expected 20$"):
+                m_step(aux, other, indicator, alpha)
 
     def test_prepare_columns_keeps_the_numerical_range(self):
         # rank-3 columns (30 x 20) plus an offset: the shifted columns keep 3
@@ -792,48 +795,51 @@ class TestTrain:
         # per fit: the pivots, a compact-WY QR of the picked columns and its
         # basis, two dgemm for the coordinates and the residual, one dgemv
         # for the offset's coordinates, and no pivoted QR; per round: class
-        # means, right-hand sides, the map back to the weights and the scores
-        # from the coordinates by dgemm, and the scores' shift v offset by
-        # dgemv; per class, one dsyrk and one dsyr
+        # means, right-hand sides, the map back to the weights, the weights in
+        # the coordinates (v = w basis) and the scores from the coordinates by
+        # dgemm, and the scores' shift v offset by dgemv; per class, one dsyrk
+        # and one dsyr
         expected = {
-            "dgemm": 14, "dgemv": 4, "dsyrk": 6, "dsyr": 6,
+            "dgemm": 17, "dgemv": 4, "dsyrk": 6, "dsyr": 6,
             "dpstrf": 1, "dgeqrt": 1, "dgemqrt": 1, "dorgqr": 0, "dgeqp3": 0,
         }
         assert counts == expected
         train(ds, cfg)
         assert counts == {name: 2 * count for name, count in expected.items()}
 
-    def test_kernel_rounds_score_from_the_coordinates(self, monkeypatch):
-        # every kernel round scores v c_i + (v offset + b) on the r x N
+    @pytest.mark.parametrize("trainer", ["regmaxcem", "hinge", "logistic"])
+    def test_kernel_rounds_score_from_the_coordinates(self, trainer, monkeypatch):
+        # every score of a kernel fit (each round's, and each trial point's of
+        # the Newton baselines) is v c_i + (v offset + b) on the r x N
         # coordinates; that equals w x_i + b on the N x N Gram to within
         # 1e-12 of the largest score, on an orthonormal basis
-        updates, scored = [], []
-        real_m_step, real_e_step = regmaxcem.m_step, regmaxcem.e_step
+        scored = []
+        real_scores = regmaxcem.PreparedColumns.scores
 
-        def recording_m_step(*args, **kwargs):
-            updates.append(real_m_step(*args, **kwargs))
-            return updates[-1]
+        def recording_scores(columns, weights, biases):
+            scores = real_scores(columns, weights, biases)
+            scored.append((weights.copy(), biases.copy(), scores.copy()))  # all updated in place
+            return scores
 
-        def recording_e_step(scores, indicator, sigma):
-            scored.append(scores)
-            return real_e_step(scores, indicator, sigma)
-
-        monkeypatch.setattr(regmaxcem, "m_step", recording_m_step)
-        monkeypatch.setattr(regmaxcem, "e_step", recording_e_step)
+        monkeypatch.setattr(regmaxcem.PreparedColumns, "scores", recording_scores)
         rng = np.random.default_rng(25)
         angles = 2.0 * np.pi * np.arange(3) / 3
         means = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         features = np.repeat(means, 60, axis=0) + rng.standard_normal((180, 2))
         ds = Dataset(features, np.repeat([1, 2, 3], 60), 3)
         rep = kernel_representation(ds.features, KernelSpec("rbf", 1.0))
-        train(ds, TrainConfig(max_iters=5, tol=0.0, representation=rep))
+        if trainer == "regmaxcem":
+            train(ds, TrainConfig(max_iters=5, tol=0.0, representation=rep))
+        else:
+            trainer = baselines.train_hinge if trainer == "hinge" else baselines.train_logistic
+            trainer(ds, rep, BaselineConfig(max_iters=5, tol=0.0))
         gram = represent_matrix(ds.features, rep).T
         basis = regmaxcem.prepare_columns(gram).basis
         rank = basis.shape[1]
         assert rank < 180
         np.testing.assert_allclose(basis.T @ basis, np.eye(rank), rtol=0, atol=1e-14)
-        assert len(updates) == len(scored) == 5
-        for (weights, biases), scores in zip(updates, scored):
+        assert len(scored) >= 5
+        for weights, biases, scores in scored:
             expected = weights @ gram + biases[:, None]
             assert np.abs(scores - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -856,10 +862,10 @@ class TestTrain:
         ]
 
     def test_logistic_newton_steps_share_scipy_blas_and_one_gram(self, monkeypatch):
-        # the logistic baseline's scores and gradients run on scipy's BLAS too,
-        # and its kernel Newton steps solve on one range per fit, from one
-        # pivoted Cholesky, one compact-WY QR and no pivoted QR
-        tree = ast.parse(inspect.getsource(baselines.train_logistic))
+        # the baselines' scores and the logistic gradients run on scipy's BLAS
+        # too, and the logistic kernel Newton steps solve on one range per
+        # fit, from one pivoted Cholesky, one compact-WY QR and no pivoted QR
+        tree = ast.parse(inspect.getsource(baselines))
         numpy_products = {"dot", "matmul", "einsum", "inner", "outer", "tensordot", "vdot"}
         assert not [
             ast.unparse(node)
