@@ -80,4 +80,4 @@ from .regmaxcem import (
 )
 from .seeding import child_seed, make_rng
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

@@ -14,10 +14,10 @@ trainers use.  The hinge trainer minimizes the squared hinge (the
 L2-SVM), whose Newton step is exact on the current active set; the
 logistic trainer is iteratively reweighted least squares.  No trainer
 takes a step size.  Each public trainer prepares the represented columns
-once (:func:`~correntia.regmaxcem.prepare_columns`) for a private core
-taking ``(columns, indicator, cfg)``, whose weight updates and scores all
-read them; the experiment harness calls the cores with each split's
-columns, prepared once for every method and rate.
+once (:func:`~correntia.regmaxcem.prepare_columns`, which frees their
+matrix) for a private core taking ``(columns, indicator, cfg)``, whose
+weight updates, scores and logistic gradients read only the coordinates;
+the harness calls the cores with each split's columns, prepared once.
 """
 
 from dataclasses import dataclass
@@ -196,9 +196,8 @@ def _train_logistic(columns: PreparedColumns, indicator: np.ndarray, cfg: Baseli
     scores, loss = scores_and_loss(weights, biases)
     for _ in range(cfg.max_iters):
         slope = indicator * expit(-indicator * scores)  # -n d(loss)/d(scores)
-        grad_w = 2.0 * alpha * weights - dgemm(1.0 / n, slope, columns.represented, trans_b=1)
-        grad_sq = (grad_w * grad_w).sum(axis=1) + (slope.sum(axis=1) / n) ** 2
-        if np.all(np.sqrt(grad_sq) <= cfg.tol * (1.0 + np.abs(loss))):
+        norms = _gradient_norms(columns, weights, slope, alpha)
+        if np.all(norms <= cfg.tol * (1.0 + np.abs(loss))):
             break
         h = expit(scores) * expit(-scores)
         working = scores + indicator / expit(indicator * scores)
@@ -213,3 +212,13 @@ def _train_logistic(columns: PreparedColumns, indicator: np.ndarray, cfg: Baseli
         if not fell.any():
             break
     return weights, biases
+
+
+def _gradient_norms(columns: PreparedColumns, weights, slope, alpha: float) -> np.ndarray:
+    """Each class's logistic gradient norm over ``(w, b)``, for ``slope = -n d(loss)/d(scores)``:
+    for ``w = basis v``, that of ``2 alpha v - (slope C^T + rowsum(slope) offset^T) / n``."""
+    n, rowsum = slope.shape[1], slope.sum(axis=1)
+    v = weights if columns.basis is None else dgemm(1.0, columns.basis, weights.T, trans_a=1).T
+    data = dgemm(1.0, slope, columns.coords, trans_b=1) + rowsum[:, None] * columns.offset
+    grad = 2.0 * alpha * v - data / n
+    return np.sqrt((grad * grad).sum(axis=1) + (rowsum / n) ** 2)

@@ -47,7 +47,7 @@ class Dataset:
         The class count ``L``.
     label_names : tuple of str
         Original label of each class index (``label_names[l - 1]`` is the
-        name of class ``l``).  Defaults to ``"1".."L"``.
+        name of class ``l``), all distinct.  Defaults to ``"1".."L"``.
     """
 
     features: np.ndarray
@@ -77,6 +77,7 @@ class Dataset:
         names = tuple(self.label_names) or tuple(str(l) for l in range(1, self.num_classes + 1))
         if len(names) != self.num_classes:
             raise ValueError(f"expected {self.num_classes} label names, got {len(names)}")
+        _check_distinct(names, "label name")
         features.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", features)
@@ -97,6 +98,13 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx], self.num_classes, self.label_names)
 
 
+def _check_distinct(names, what: str) -> None:
+    """Raise ``ValueError`` naming the first of ``names`` that repeats an earlier one."""
+    if len(set(names)) < len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ValueError(f"{what} {repeated!r} appears more than once")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Random train/test split: fraction of samples used for training, plus seed."""
@@ -115,10 +123,10 @@ def _read_csv(path, label_column, require_label: bool):
     Every column except ``label_column`` is a decimal float feature.
     ``raw_labels`` holds the stripped label cells, or is ``None`` when the
     file has no such column (an error if ``require_label``, as is then an
-    empty label cell).  Ragged rows, unparseable and non-finite cells raise
-    ``ValueError`` naming the first bad row (1-based, header excluded) and,
-    for a cell, its column.  A UTF-8 byte order mark before the header is
-    skipped.
+    empty label cell).  A column named twice in the header raises
+    ``ValueError`` naming it; ragged rows, unparseable and non-finite cells
+    raise one naming the first bad row (1-based, header excluded) and, for
+    a cell, its column.  A UTF-8 byte order mark before the header is skipped.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
@@ -126,12 +134,10 @@ def _read_csv(path, label_column, require_label: bool):
             header = next(reader)
         except StopIteration:
             raise ValueError(f"empty file: {path}") from None
-        if label_column in header:
-            label_idx = header.index(label_column)
-        elif require_label:
+        _check_distinct(header, "header column")
+        label_idx = header.index(label_column) if label_column in header else None
+        if label_idx is None and require_label:
             raise ValueError(f"label column {label_column!r} not found in header {header}")
-        else:
-            label_idx = None
         keep = [i for i in range(len(header)) if i != label_idx]
         if not keep:
             raise ValueError("no feature columns besides the label column")

@@ -9,10 +9,10 @@ Each split's representation depends only on its training features, so it
 is built once, before any training, and represents both sides of the split
 once (in kernel mode, kernel evaluations against the training anchors); a
 split that cannot be represented raises.  Every cell is then a plain
-linear problem on those represented features, whose training columns are
-prepared once per split (:func:`~correntia.regmaxcem.prepare_columns`)
-for every method and rate.  The noisy training sets of every rate are
-drawn from the represented training side before any training, since
+linear problem: the training columns are prepared once per split for every
+method and rate (:func:`~correntia.regmaxcem.prepare_columns`), which frees
+the represented training matrix, and the noisy training sets of every rate
+are drawn from the training split as loaded before any training, since
 noise depends only on the labels.  Cells run one at a time, method by
 method in config order.  :func:`_score_cell` is the one place a cell is
 trained (through :func:`train_method`) and scored, and :func:`_report`
@@ -85,7 +85,7 @@ __all__ = [
 ALPHA_GRID = tuple(float(a) for a in np.logspace(-4, 0, 9))
 
 METHOD_NAMES = ("regmaxcem", "square", "hinge", "logistic")
-Cell = tuple[Dataset, Dataset, PreparedColumns]  # one split's train and test sides, train columns
+Cell = tuple[Dataset, Dataset, PreparedColumns]  # loaded train, represented test, train columns
 
 
 def _is_number(value, kind) -> bool:
@@ -339,27 +339,25 @@ def train_method(method: MethodSpec, ds: Dataset, rep: Representation, columns: 
 
 
 def _represent_splits(pairs, representation: RepresentationSpec) -> list[Cell]:
-    """Each ``(train, test)`` pair with both sides represented by the train side's
-    representation, and the train side's prepared columns.
-
-    In linear mode the features are returned as they are, without a copy.
-    """
-    represented = []
+    """Each ``(train, test)`` pair as a cell: the train side as loaded, the test side
+    represented by the train side's representation, and the train side's prepared
+    columns.  The represented training matrix (in kernel mode the ``N x N`` Gram)
+    is freed once prepared; linear test features are kept as they are, uncopied."""
+    cells = []
     for train_set, test in pairs:
         rep = representation.build(train_set.features)
-        train_set, test = (
-            replace(d, features=represent_matrix(d.features, rep)) for d in (train_set, test)
-        )
-        represented.append((train_set, test, prepare_columns(train_set.features.T)))
-    return represented
+        columns = prepare_columns(represent_matrix(train_set.features, rep).T)
+        test = replace(test, features=represent_matrix(test.features, rep))
+        cells.append((train_set, test, columns))
+    return cells
 
 
 def _score_cell(method: MethodSpec, train_set, test, columns) -> tuple[np.ndarray, float]:
     """Train ``method`` on one cell and score its test side: the score matrix and its accuracy.
 
-    The cell holds its split's already represented features and prepared
-    training columns (see :func:`_represent_splits`), so it fits under the
-    linear representation.  A failure in training or scoring propagates.
+    The cell holds its split's prepared training columns and represented test
+    features (see :func:`_represent_splits`), so it fits under the linear
+    representation.  A failure in training or scoring propagates.
     """
     model = train_method(method, train_set, linear_representation(), columns)
     scores = score_matrix(model, test.features)
@@ -418,16 +416,14 @@ def select_alpha_by_cv(
     with the best mean accuracy; ties go to the smallest alpha.  Each fold's
     columns are prepared once for the whole grid.
     """
-    pairs = _represent_splits(kfold(ds, min(folds, ds.n_samples), child_seed(seed, 3)),
+    cells = _represent_splits(kfold(ds, min(folds, ds.n_samples), child_seed(seed, 3)),
                               representation)
-    best_alpha, best_score = None, -np.inf
-    for alpha in grid:
+
+    def mean_accuracy(alpha):
         candidate = replace(method, alpha=float(alpha))
-        scores = [_score_cell(candidate, *cell)[1] for cell in pairs]
-        mean_score = float(np.mean(scores))
-        if mean_score > best_score:
-            best_alpha, best_score = float(alpha), mean_score
-    return best_alpha
+        return np.mean([_score_cell(candidate, *cell)[1] for cell in cells])
+
+    return float(max(grid, key=mean_accuracy))  # max keeps the first of tied alphas
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[EvalReport]:

@@ -23,24 +23,16 @@ it coincide with the closed-form square-loss baseline.
 
 The represented columns stay the same for a whole fit, and in a sweep for
 every fit on one split, so they are prepared once (``prepare_columns``):
-checked to be finite and shifted by their unweighted mean.  When there
-are at least as many represented dimensions ``D'`` as samples ``N``
-(every kernel fit), the shifted columns' coordinates are kept in an
-orthonormal basis of their numerical range, ``r`` columns wide.  A kernel Gram is
-symmetric positive semidefinite, so that basis is the compact-WY QR of the
-columns a pivoted Cholesky picks, in O(N^2 r) (105 to 108 of 660 on an rbf
-kernel fit); any other wide matrix is factored by a column-pivoted QR,
-O(N^3).
-Every round's weight update reads that one prepared value and has one
-form: it factors one ``r x r`` system per class (``r = D'`` when
-``D' < N``), built from raw weighted moments of the coordinates and
-centered by one rank-1 update, by Cholesky through LAPACK's ``dpotrf`` and
-``dpotrs``; every class's weighted mean and right-hand side come from one
-product each, and when ``D' >= N`` one more maps the solutions back to the
-weights.  Every trainer, here and in the baselines, scores its rounds
-from the same prepared value (``PreparedColumns.scores``): from the
-coordinates, O(r N L), rather than from the ``N x N`` Gram.  A kernel fit
-thus costs one reduction, O(N^2 r), then O(L r^2 N) per round.
+checked, shifted by their unweighted mean and kept only as coordinates in
+an orthonormal basis of their numerical range, ``r`` wide: the identity
+when there are fewer represented dimensions ``D'`` than samples ``N``, else
+found by a pivoted Cholesky for a kernel Gram, O(N^2 r) (105 to 108 of
+660 columns kept on an rbf kernel fit), or by a column-pivoted QR, O(N^3).
+Every round's weight update factors one ``r x r`` system per class from
+the coordinates, by Cholesky through LAPACK's ``dpotrf`` and ``dpotrs``,
+and every trainer, here and in the baselines, scores its rounds from them
+(``PreparedColumns.scores``), O(r N L).  A kernel fit thus costs one
+reduction, O(N^2 r), then O(L r^2 N) per round.
 
 Training is deterministic: the per-class ridge solves are independent and
 run one after another, and reruns with the same BLAS thread count give
@@ -49,16 +41,15 @@ enough for BLAS to thread runs on the BLAS that scipy links (``dgemm``,
 ``dgemv``, ``dsyrk``, ``dsyr``, and the pivoted Cholesky, the QRs and the
 Cholesky factor and solve on its LAPACK), not through numpy's ``@``; only
 per-class dot products and the ``alpha = 0`` least-squares solve stay on
-numpy.  The numpy and scipy
-wheels each bundle their own OpenBLAS, each with its own thread pool, and
-OpenBLAS workers keep spinning for a while after a call: switching libraries
-within a round left one pool's idle workers taking the CPUs from the
-other's busy ones, which made kernel training at two threads about twice
-as slow as at one.
-Each product still uses the BLAS threads (``OPENBLAS_NUM_THREADS``), and a
-different thread count can move the last bits of the parameters (about
-2e-13 of the largest weight on a 660-anchor kernel model).
-Trained models are immutable and safe to share across threads.
+numpy.  The numpy and scipy wheels each bundle their own OpenBLAS, each
+with its own thread pool, and OpenBLAS workers keep spinning for a while
+after a call: switching libraries within a round left one pool's idle
+workers taking the CPUs from the other's busy ones, which made kernel
+training at two threads about twice as slow as at one.  Each product
+still uses the BLAS threads (``OPENBLAS_NUM_THREADS``), and a different
+thread count can move the last bits of the parameters (about 2e-13 of the
+largest weight on a 660-anchor kernel model).  Trained models are
+immutable and safe to share across threads.
 """
 
 import json
@@ -74,7 +65,7 @@ from scipy.linalg.blas import dgemm, dgemv, dsyr, dsyrk
 from scipy.linalg.lapack import dgemqrt, dgeqp3, dgeqrt, dorgqr, dpotrf, dpotrs, dpstrf
 
 from .correntropy import SigmaPolicy, g_sigma, objective, sigma_heuristic
-from .dataset import Dataset, label_indicator
+from .dataset import Dataset, _check_distinct, label_indicator
 from .kernels import KernelSpec, Representation, linear_representation, represent_matrix
 
 __all__ = [
@@ -117,8 +108,8 @@ class Model:
 
     ``weights`` is a non-empty, finite ``L x D'`` matrix (``D' = D`` linear,
     the anchor count in kernel mode), ``biases`` has ``L`` finite entries and
-    ``class_map`` is a list or tuple of ``L`` strings; class ``l`` scores a
-    represented sample ``z`` as ``weights[l - 1] @ z + biases[l - 1]``.
+    ``class_map`` is a list or tuple of ``L`` distinct strings; class ``l``
+    scores a represented sample ``z`` as ``weights[l - 1] @ z + biases[l - 1]``.
     ``sigma_final`` is a number, stored as a float.  Else ``ValueError``.
     """
 
@@ -144,6 +135,7 @@ class Model:
             and all(isinstance(name, str) for name in self.class_map)
         ):
             raise ValueError(f"class_map must list {num_classes} class names, one per weight row")
+        _check_distinct(self.class_map, "class_map name")
         if isinstance(self.sigma_final, bool) or not isinstance(self.sigma_final, numbers.Real):
             raise ValueError(f"sigma_final must be a number, got {self.sigma_final!r}")
         rep = self.representation
@@ -237,34 +229,30 @@ def e_step(scores: np.ndarray, indicator: np.ndarray, sigma: float) -> AuxMatrix
 class PreparedColumns:
     """The represented columns of one training set, in the form every fit on them reads.
 
-    ``represented`` is the checked ``D' x N`` matrix (Fortran order).  The
-    columns, shifted by their unweighted mean, are held as ``coords``
-    (``r x N``, Fortran order) in the orthonormal ``basis`` (``D' x r``) of
-    their numerical range, and ``offset`` is that mean in the same basis
-    (length ``r``).  When ``D' < N``, ``basis`` is ``None``: the basis is the
-    identity, so ``coords`` are the shifted columns and ``offset`` the mean.
-    Built by :func:`prepare_columns`; the arrays are read-only.
+    The ``D' x N`` columns, shifted by their unweighted mean, are held as
+    ``coords`` (``r x N``, Fortran order) in the orthonormal ``basis``
+    (``D' x r``) of their numerical range, and ``offset`` is that mean in
+    the same basis (length ``r``).  When ``D' < N``, ``basis`` is ``None``:
+    the basis is the identity, so ``coords`` are the shifted columns and
+    ``offset`` the mean.  The columns themselves are not kept.  Built by
+    :func:`prepare_columns`; the arrays are read-only.
     """
 
-    represented: np.ndarray
     offset: np.ndarray
     coords: np.ndarray
     basis: np.ndarray | None
 
     @property
     def shape(self) -> tuple[int, int]:
-        """``(D', N)``, the shape of ``represented``."""
-        return self.represented.shape
+        """``(D', N)``, the shape of the prepared columns."""
+        return (len(self.coords if self.basis is None else self.basis), self.coords.shape[1])
 
     def scores(self, weights: np.ndarray, biases: np.ndarray) -> np.ndarray:
-        """The ``L x N`` scores ``weights @ represented + biases[:, None]``; when ``D' >= N``
-        from the ``r`` coordinates, O(r N L): with ``v = weights basis``, ``w x_i + b =
-        v c_i + (v offset + b)``, less the directions below the rank cut."""
-        if self.basis is None:
-            # weights @ represented, as the transpose of an F-ordered N x L product
-            return dgemm(1.0, self.represented, weights.T, trans_a=1).T + biases[:, None]
-        v_t = dgemm(1.0, self.basis, weights.T, trans_a=1)  # r x L
-        shift = dgemv(1.0, v_t, self.offset, trans=1) + biases
+        """The ``L x N`` scores ``w x_i + b`` of the columns, O(r N L): with ``v = weights
+        basis`` (``weights`` when ``basis`` is ``None``), ``w x_i + b = v c_i + (v offset
+        + b)`` on the coordinates ``c_i``, less the directions below the rank cut."""
+        v_t = weights.T if self.basis is None else dgemm(1.0, self.basis, weights.T, trans_a=1)
+        shift = dgemv(1.0, v_t, self.offset, trans=1) + biases  # v_t is r x L
         return dgemm(1.0, self.coords, v_t, trans_a=1).T + shift[:, None]
 
 
@@ -272,8 +260,9 @@ def prepare_columns(represented: np.ndarray) -> PreparedColumns:
     """Check and shift the columns of ``represented`` once, and reduce them when ``D' >= N``.
 
     Every fit reads its columns through this value; the harness prepares
-    each split once for all its fits.  The checked matrix is kept as a
-    read-only view, never the caller's own array.  The shifted columns
+    each split once for all its fits.  No reference to ``represented`` is
+    kept: a caller that drops its own (as :func:`train` does) frees it, in
+    kernel mode the ``N x N`` Gram, once this returns.  The shifted columns
     are Fortran ordered for every caller: BLAS rounds differently per
     layout, and ``dsyrk`` reads them in place.  When ``D' >= N`` they are
     reduced once to an orthonormal basis of their numerical range:
@@ -309,11 +298,10 @@ def prepare_columns(represented: np.ndarray) -> PreparedColumns:
         reduced = _symmetric_range(represented, offset)
         basis, coords = reduced or _numerical_range(represented - offset[:, None])
         offset = dgemv(1.0, basis, offset, trans=1)
-    represented = represented.view()
-    for array in (represented, offset, coords, basis):
+    for array in (offset, coords, basis):
         if array is not None:
             array.setflags(write=False)
-    return PreparedColumns(represented, offset, coords, basis)
+    return PreparedColumns(offset, coords, basis)
 
 
 def _symmetric_range(gram: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -11,7 +11,12 @@ from correntia import (
     Dataset,
     KernelSpec,
     Model,
+    SyntheticSpec,
+    child_seed,
+    generate_synthetic,
+    inject_label_noise,
     kernel_representation,
+    kfold,
     label_indicator,
     linear_representation,
     median_bandwidth,
@@ -22,6 +27,7 @@ from correntia import (
     train_logistic,
     train_square,
 )
+from correntia.regmaxcem import prepare_columns
 
 
 def tiny_dataset(features, labels, num_classes):
@@ -283,6 +289,44 @@ class TestTrainLogistic:
                 (logistic_objective(ds, moved[0], 0.1) - logistic_objective(ds, moved[1], 0.1)) / (2 * h)
             )
         assert np.linalg.norm(grads) <= 1e-5 * (1 + abs(value))
+
+    def test_kernel_stop_test_reads_the_coordinates(self, monkeypatch):
+        # The rbf blobs of a kernel sweep (3 on a radius-2 circle, 300 per
+        # class, the first of 5 folds, so N = 720), at noise 0, 0.2 and 0.4.
+        # Every gradient norm the stop test reads, taken on the r x N
+        # coordinates, is that of the gradient 2 alpha w - slope X^T / n on
+        # the N x N Gram; the absolute bound is far below any tol (1e-8 by
+        # default) and holds where a converged norm makes relative error moot.
+        angles = 2.0 * math.pi / 3.0 * np.arange(3)
+        means = tuple(zip(2.0 * np.cos(angles), 2.0 * np.sin(angles)))
+        ds = generate_synthetic(SyntheticSpec(means, 1.0, 300, 7919))
+        train, _ = kfold(ds, 5, child_seed(7919, 1, 0))[0]
+        width = median_bandwidth(train.features)
+        rep = kernel_representation(train.features, KernelSpec("rbf", width))
+        gram = represent_matrix(train.features, rep)
+        columns = prepare_columns(gram.T)
+        assert columns.basis is not None and len(columns.coords) < len(gram)
+        real_norms, steps, read = baselines._gradient_norms, [], []
+
+        def recording_norms(columns, weights, slope, alpha):
+            read.append((weights.copy(), slope, real_norms(columns, weights, slope, alpha)))
+            return read[-1][2]
+
+        monkeypatch.setattr(baselines, "_gradient_norms", recording_norms)
+        cfg = BaselineConfig(tol=1e-6)
+        for r_idx, rate in enumerate((0.0, 0.2, 0.4)):
+            noisy = inject_label_noise(train, rate, child_seed(7919, 2, r_idx, 0))
+            read.clear()
+            indicator = label_indicator(noisy.labels, 3)
+            baselines._train_logistic(columns, indicator, cfg)
+            steps.append(len(read) - 1)  # one norm read per step, and the read that stops
+            for weights, slope, norms in read:
+                n = slope.shape[1]
+                grad_w = 2.0 * cfg.alpha * weights - slope @ gram / n  # the Gram is symmetric
+                expected = np.sqrt((grad_w**2).sum(axis=1) + (slope.sum(axis=1) / n) ** 2)
+                np.testing.assert_allclose(norms, expected, rtol=1e-10, atol=1e-14)
+        # the Newton steps of the fits that read the N x N Gram
+        assert steps == [7, 5, 4]
 
     def test_separable_class_is_named(self):
         # alpha = 0 and tol = 0 on separable data: the weights grow until every

@@ -73,6 +73,7 @@ def _mutated_model_text(mutation) -> str:
 @example(("set", ("kernel", "bandwidth"), 1e-300))
 @example(("set", ("anchors", 0, 0), math.nan))
 @example(("set", ("anchors", 1, 1), HUGE))
+@example(("set", ("class_map",), ["a", "a"]))
 def test_model_file_loads_or_fails_with_one_error_line(mutation):
     with tempfile.TemporaryDirectory() as tmp:
         model_path, data, out = Path(tmp) / "model.json", Path(tmp) / "x.csv", Path(tmp) / "p.csv"
@@ -90,7 +91,9 @@ def test_model_file_loads_or_fails_with_one_error_line(mutation):
                          "--out", str(out)])
         if loaded:
             assert (code, stderr.getvalue()) == (0, "")
-            assert len(out.read_text(encoding="utf-8").splitlines()) == 3
+            header, *rows = out.read_text(encoding="utf-8").splitlines()
+            assert len(rows) == 2
+            assert len(set(header.split(","))) == len(header.split(","))  # one column per class
         else:
             assert code == 1
             assert stderr.getvalue().startswith(f"error: {model_path}: ")

@@ -247,6 +247,16 @@ class TestErrors:
         assert capsys.readouterr().err == "error: row 3: empty label in column 'label'\n"
         assert not (tmp_path / "m.json").exists()
 
+    def test_column_named_twice_is_one_line_error(self, tmp_path, capsys):
+        # the second "label" column would be trained on as a feature
+        data = tmp_path / "twice.csv"
+        data.write_text("label,f1,label\na,1,a\nb,2,b\na,1.5,a\nb,2.5,b\n")
+        code = run_cli(["train", "--data", data, "--label-col", "label", "--method", "square",
+                        "--model-out", tmp_path / "m.json"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: header column 'label' appears more than once\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_negative_alpha_is_one_line_error(self, tmp_path, blob_csv, capsys):
         code = run_cli(["train", "--data", blob_csv, "--label-col", "label", "--method", "square",
                         "--model-out", tmp_path / "m.json", "--alpha", "-1"])

@@ -42,6 +42,13 @@ class TestDataset:
         ds = blob(num_classes=3)
         assert ds.label_names == ("1", "2", "3")
 
+    def test_repeated_label_name_is_named(self):
+        # two classes under one name cannot be told apart in a prediction
+        with pytest.raises(ValueError, match="^label name 'a' appears more than once$"):
+            Dataset(np.zeros((2, 1)), np.array([1, 2]), 2, label_names=("a", "a"))
+        with pytest.raises(ValueError, match="^label name '1' appears more than once$"):
+            Dataset(np.zeros((3, 1)), np.array([1, 2, 3]), 3, label_names=("1", "2", "1"))
+
 
 class TestLoadCsv:
     def test_three_row_file(self, tmp_path):
@@ -164,6 +171,20 @@ class TestLoadFeatures:
         cells = len(row.split(",")) if row else 0
         with pytest.raises(ValueError, match=f"row 2: expected 2 cells, got {cells}"):
             load_features(path)
+
+    @pytest.mark.parametrize(
+        "header, repeated", [("label,f1,label", "label"), ("f1,label,f1", "f1")]
+    )
+    def test_column_named_twice_is_named(self, tmp_path, header, repeated):
+        # the second "label" of "label,f1,label" was read as a feature: the
+        # label leaked into the fit
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n1,0.5,1\n2,1.5,2\n")
+        message = f"^header column '{repeated}' appears more than once$"
+        for load in (lambda: load_csv(path, "label"), lambda: load_features(path, "label"),
+                     lambda: load_features(path)):
+            with pytest.raises(ValueError, match=message):
+                load()
 
     def test_empty_and_header_only_files(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -1,10 +1,12 @@
 """Synthetic generation, the experiment sweep, and report emission."""
 
 import csv
+import gc
 import io
 import json
 import math
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from correntia import (
     emit_reports,
     generate_synthetic,
     inject_label_noise,
+    kfold,
     linear_representation,
     pr_curve,
     predict_labels,
@@ -255,6 +258,30 @@ class TestRunExperiment:
         # every cell of every method trains on its own
         assert len(trained) == 18
         assert [args[0].name for args in trained] == ["regmaxcem"] * 6 + ["square"] * 6 + ["hinge"] * 6
+
+    def test_cells_hold_no_represented_training_matrix(self, monkeypatch):
+        # each split's training side is represented (here its N x N Gram) only
+        # to be prepared: the cell keeps the split as loaded, the represented
+        # test side and the columns, and no Gram per split outlives the sweep setup
+        original, given = regmaxcem.prepare_columns, []
+
+        def recording(represented):
+            given.append([weakref.ref(represented)])
+            if represented.base is not None:
+                given[-1].append(weakref.ref(represented.base))
+            return original(represented)
+
+        monkeypatch.setattr(harness, "prepare_columns", recording)
+        ds = generate_synthetic(SyntheticSpec(((2.0, 0.0), (-2.0, 0.0)), 1.0, 25, seed=4))
+        folds = kfold(ds, 5, 7)
+        cells = harness._represent_splits(folds, RepresentationSpec("kernel"))
+        gc.collect()
+        assert len(given) == 5
+        assert not [ref for refs in given for ref in refs if ref() is not None]
+        for (train_set, test), (cell_train, cell_test, columns) in zip(folds, cells):
+            assert cell_train is train_set
+            assert cell_test.features.shape == (test.n_samples, train_set.n_samples)
+            assert columns.shape == (train_set.n_samples, train_set.n_samples)
 
     @pytest.mark.parametrize(
         "overrides, message",

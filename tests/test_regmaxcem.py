@@ -1,9 +1,11 @@
 """Trainer internals: auxiliary update, weighted ridge step, training loop, model IO."""
 
 import ast
+import gc
 import inspect
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -527,15 +529,14 @@ class TestMStep:
         # prepared arrays are read-only, and the caller's array stays writeable
         rng = np.random.default_rng(18)
         for dim in (5, 30):
-            # Fortran order, so that the prepared matrix is a view of this one
+            # Fortran order, so that preparing it starts from this array itself
             represented = np.asfortranarray(rng.standard_normal((dim, 20)) + 3.0)
             aux, indicator = random_aux_and_indicator(rng, 3, 20)
             columns = regmaxcem.prepare_columns(represented)
             assert (columns.basis is None) == (dim < 20)
             assert columns.shape == (dim, 20)
-            assert columns.represented is not represented and represented.flags.writeable
-            np.testing.assert_array_equal(columns.represented, represented)
-            for a in (columns.represented, columns.offset, columns.coords, columns.basis):
+            assert represented.flags.writeable
+            for a in (columns.offset, columns.coords, columns.basis):
                 assert a is None or not a.flags.writeable  # shared by every fit on them
             given = m_step(aux, columns, indicator, alpha)
             built = m_step(aux, represented, indicator, alpha)
@@ -545,6 +546,28 @@ class TestMStep:
             other = regmaxcem.prepare_columns(represented[:, 1:])
             with pytest.raises(ValueError, match="^represented has 19 columns, expected 20$"):
                 m_step(aux, other, indicator, alpha)
+
+    @pytest.mark.parametrize("kind", ["tall", "gram", "wide"])
+    def test_prepared_columns_free_the_represented_matrix(self, kind):
+        # train hands prepare_columns the F-ordered transpose of a C-ordered
+        # represented matrix and drops its own reference: the columns must not
+        # keep it (in kernel mode the N x N Gram) alive
+        rng = np.random.default_rng(24)
+        features = rng.standard_normal((20, 2))
+        if kind == "gram":  # symmetric: reduced by the pivoted Cholesky
+            represented = represent_matrix(
+                features, kernel_representation(features, KernelSpec("rbf", 1.0))
+            )
+        else:  # N x D', as represent_matrix returns it; wide takes the pivoted QR
+            represented = rng.standard_normal((20, 5 if kind == "tall" else 30))
+        assert represented.flags.c_contiguous and represented.T.flags.f_contiguous
+        dim = represented.shape[1]
+        alive = weakref.ref(represented)
+        columns = regmaxcem.prepare_columns(represented.T)
+        del represented
+        gc.collect()
+        assert alive() is None
+        assert columns.shape == (dim, 20) and (columns.basis is None) == (kind == "tall")
 
     def test_prepare_columns_keeps_the_numerical_range(self):
         # rank-3 columns (30 x 20) plus an offset: the shifted columns keep 3
@@ -775,10 +798,11 @@ class TestTrain:
         ds = two_blob_dataset(seed=8)
         model, _ = train(ds, TrainConfig(max_iters=3, tol=0.0))
         # per round: class means, every class's right-hand side and scores by
-        # dgemm; per class, one dsyrk of raw moments and one dsyr centering
-        assert counts == {"dgemm": 9, "dgemv": 0, "dsyrk": 6, "dsyr": 6}
+        # dgemm, and the scores' shift w offset by dgemv; per class, one dsyrk
+        # of raw moments and one dsyr centering
+        assert counts == {"dgemm": 9, "dgemv": 3, "dsyrk": 6, "dsyr": 6}
         score_matrix(model, ds.features)
-        assert counts == {"dgemm": 10, "dgemv": 0, "dsyrk": 6, "dsyr": 6}
+        assert counts == {"dgemm": 10, "dgemv": 3, "dsyrk": 6, "dsyr": 6}
 
     def test_kernel_fit_builds_one_gram(self, monkeypatch):
         # a kernel Gram is symmetric: its range is found once per fit from the
@@ -1019,13 +1043,14 @@ class TestModelSerialization:
             (lambda p: p.update(sigma_final=True), "sigma_final must be a number, got True"),
             (lambda p: p.update(version=True), "version True"),
             (lambda p: p.update(mode="linear"), "linear mode takes no anchors"),
+            (lambda p: p.update(class_map=["1", "2", "1"]), "class_map name '1' appears more than once"),
         ],
         ids=["no-mode", "no-weights", "version-99", "no-version", "short-class-map",
              "short-biases", "narrow-weights", "fewer-anchors", "ragged-weights",
              "empty-weights", "no-anchors", "kernel-not-object", "bandwidth-not-number",
              "unknown-mode", "sigma-not-number", "bandwidth-bool", "extra-kernel-key",
              "kernel-without-bandwidth", "class-map-string", "sigma-bool", "version-bool",
-             "linear-with-anchors"],
+             "linear-with-anchors", "repeated-class-name"],
     )
     def test_rejects_inconsistent_file(self, tmp_path, corrupt, problem):
         path, payload = self._kernel_payload(tmp_path)
@@ -1057,6 +1082,7 @@ class TestModelInvariants:
             (np.full((1, 2), np.nan), [0], ("a",), 1.0, "finite"),
             (np.ones((2, 3)), [0, 0], ("a", "b"), True, "sigma_final"),
             (np.ones((2, 3)), [0, 0], ("a", "b"), "0.5", "sigma_final"),
+            (np.ones((2, 3)), [0, 0], ("a", "a"), 1.0, "^class_map name 'a' appears more than once$"),
         ],
     )
     def test_rejects_inconsistent_fields(self, weights, biases, class_map, sigma_final, problem):
